@@ -258,7 +258,7 @@ mod degraded {
 
     /// One small meta-trained bundle, shared across the sweep (training is
     /// the expensive part; the sweeps only need a usable bundle to injure).
-    fn artifacts() -> &'static GlimpseArtifacts {
+    pub(super) fn artifacts() -> &'static GlimpseArtifacts {
         static BUNDLE: OnceLock<GlimpseArtifacts> = OnceLock::new();
         BUNDLE.get_or_init(|| {
             let gpus = vec![
@@ -272,7 +272,7 @@ mod degraded {
 
     /// The rung set under test: every component degraded (lost bundle), or
     /// one injected component fallback on an otherwise healthy bundle.
-    fn resolved_for(component: Option<Component>) -> ResolvedArtifacts {
+    pub(super) fn resolved_for(component: Option<Component>) -> ResolvedArtifacts {
         match component {
             None => ResolvedArtifacts::fallback(HealthCause::ArtifactMissing),
             Some(component) => ResolvedArtifacts::healthy(artifacts().clone()).with_injected(component),
@@ -343,7 +343,7 @@ mod degraded {
     }
 
     /// Each rung set: all-fallback plus every single-component injection.
-    fn all_rung_sets() -> Vec<(Option<Component>, &'static str)> {
+    pub(super) fn all_rung_sets() -> Vec<(Option<Component>, &'static str)> {
         vec![
             (None, "all"),
             (Some(Component::BlueprintCodec), "codec"),
@@ -420,6 +420,122 @@ mod degraded {
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
         set_default_threads(0);
+    }
+}
+
+/// Pinned journals: every tuner's `journal.wal` and `complete.json`, run
+/// once through `run_checkpointed`, must hash to fixed CRC32 digests at any
+/// worker count. A refactor of a tuning loop that perturbs one RNG draw, one
+/// float expression or one proposal order changes a digest.
+mod digests {
+    use super::degraded::{all_rung_sets, artifacts, resolved_for};
+    use super::*;
+    use glimpse_repro::core::health::ResolvedArtifacts;
+    use glimpse_repro::core::tuner::{GlimpseConfig, GlimpseTuner};
+    use glimpse_repro::durable::crc32;
+    use glimpse_repro::gpu_spec::database;
+    use glimpse_repro::tuners::chameleon::ChameleonTuner;
+    use glimpse_repro::tuners::dgp::DgpTuner;
+    use glimpse_repro::tuners::genetic::GeneticTuner;
+    use glimpse_repro::tuners::grid::GridTuner;
+    use glimpse_repro::tuners::journal::COMPLETE_FILE;
+    use glimpse_repro::tuners::random::RandomTuner;
+    use glimpse_repro::tuners::{TuneContext, Tuner};
+
+    const TRIALS: usize = 40;
+
+    /// `(case, crc32(journal.wal), crc32(complete.json))`.
+    const PINNED: &[(&str, u32, u32)] = &[
+        ("autotvm", 0xD3EA0E3A, 0x24EC1AEE),
+        ("autotvm-tl", 0xE6339FF7, 0x63EAD9E5),
+        ("chameleon", 0x635B1906, 0xC8EA2F34),
+        ("dgp", 0xC9870790, 0xF1DEED0B),
+        ("genetic", 0xCCA6398B, 0x08FA709D),
+        ("grid", 0xFF28EB69, 0x0CA90AD9),
+        ("random", 0x7B2BCC38, 0x71C2559B),
+        ("glimpse-healthy", 0xADD24F3E, 0x5D51B1F0),
+        ("glimpse-all", 0xCC7C5AAB, 0x29468AA5),
+        ("glimpse-codec", 0x417BB70E, 0xF73C2AFB),
+        ("glimpse-prior", 0x1C9E208F, 0x3678B5AF),
+        ("glimpse-acq", 0x502C34D2, 0xB8D7529E),
+        ("glimpse-sampler", 0x1778BEA2, 0xA2AB978B),
+        ("glimpse-cost", 0x0D871305, 0x0BCF74C2),
+    ];
+
+    /// Runs `tuner` once, uninterrupted, and hashes the two files it leaves.
+    fn digest(tag: &str, tuner: &mut dyn Tuner, rungs: &[(String, u8)]) -> (u32, u32) {
+        let model = models::alexnet();
+        let task = &model.tasks()[2];
+        let space = templates::space_for_task(task);
+        let dir = temp_dir(&format!("digest-{tag}"));
+        let mut m = measurer();
+        run_checkpointed(
+            tuner,
+            &spec(&dir).with_rungs(rungs),
+            task,
+            &space,
+            &mut m,
+            Budget::measurements(TRIALS),
+            SEED,
+        )
+        .expect("uninterrupted run completes");
+        let wal = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal readable");
+        let complete = std::fs::read(dir.join(COMPLETE_FILE)).expect("complete.json readable");
+        let _ = std::fs::remove_dir_all(&dir);
+        (crc32(&wal), crc32(&complete))
+    }
+
+    /// A foreign AutoTVM log (other seed, no journal) for the transfer case.
+    fn donor() -> glimpse_repro::tuners::TuningHistory {
+        let model = models::alexnet();
+        let task = &model.tasks()[2];
+        let space = templates::space_for_task(task);
+        let mut m = measurer();
+        let ctx = TuneContext::new(task, &space, &mut m, Budget::measurements(TRIALS), SEED + 1);
+        AutoTvmTuner::new().tune(ctx).history
+    }
+
+    fn all_digests(threads: usize) -> Vec<(String, u32, u32)> {
+        set_default_threads(threads);
+        let gpu = database::find("Titan Xp").unwrap();
+        let mut baselines: Vec<(&str, Box<dyn Tuner>)> = vec![
+            ("autotvm", Box::new(AutoTvmTuner::new())),
+            ("autotvm-tl", Box::new(AutoTvmTuner::new().with_transfer(vec![donor()]))),
+            ("chameleon", Box::new(ChameleonTuner::new())),
+            ("dgp", Box::new(DgpTuner::new())),
+            ("genetic", Box::new(GeneticTuner::new())),
+            ("grid", Box::new(GridTuner::new())),
+            ("random", Box::new(RandomTuner::new())),
+        ];
+        let mut out = Vec::new();
+        for (case, tuner) in &mut baselines {
+            let (wal, complete) = digest(&format!("{case}-t{threads}"), tuner.as_mut(), &[]);
+            out.push(((*case).to_string(), wal, complete));
+        }
+        let mut rung_sets = vec![(ResolvedArtifacts::healthy(artifacts().clone()), "healthy")];
+        rung_sets.extend(all_rung_sets().into_iter().map(|(component, tag)| (resolved_for(component), tag)));
+        for (resolved, tag) in &rung_sets {
+            let case = format!("glimpse-{tag}");
+            let rungs = resolved.health.rung_fingerprint();
+            let mut tuner = GlimpseTuner::from_resolved(resolved, gpu, GlimpseConfig::default());
+            let (wal, complete) = digest(&format!("{case}-t{threads}"), &mut tuner, &rungs);
+            out.push((case, wal, complete));
+        }
+        set_default_threads(0);
+        out
+    }
+
+    #[test]
+    fn journals_match_pinned_digests_at_any_thread_count() {
+        for threads in [1usize, 8] {
+            let actual = all_digests(threads);
+            let table: String = actual
+                .iter()
+                .map(|(case, w, c)| format!("        (\"{case}\", 0x{w:08X}, 0x{c:08X}),\n"))
+                .collect();
+            let pinned: Vec<(String, u32, u32)> = PINNED.iter().map(|&(case, w, c)| (case.to_string(), w, c)).collect();
+            assert_eq!(actual, pinned, "threads {threads}: journal digests drifted; actual table:\n{table}");
+        }
     }
 }
 
