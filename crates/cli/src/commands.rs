@@ -21,7 +21,7 @@ use glimpse_tuners::chameleon::ChameleonTuner;
 use glimpse_tuners::dgp::DgpTuner;
 use glimpse_tuners::genetic::GeneticTuner;
 use glimpse_tuners::random::RandomTuner;
-use glimpse_tuners::{run_supervised, Budget, CheckpointSpec, RunControl, SupervisedOutcome, TuneContext, Tuner, TuningOutcome};
+use glimpse_tuners::{run_supervised, Budget, CheckpointSpec, RunControl, SupervisedOutcome, TuneContext, Tuner};
 use std::path::{Path, PathBuf};
 
 /// Usage text for `glimpse help`.
@@ -320,19 +320,20 @@ struct RunSettings {
     report: Option<PathBuf>,
 }
 
-/// Campaign-level supervision: the process-wide signal token, the shared
-/// heartbeat the cells beat on every consumed trial, and (when
-/// `--stall-timeout-s` is set) the real-wall-clock watchdog that trips the
-/// token when the heartbeat goes flat.
-struct Supervisor {
+/// Campaign-level supervision: the campaign's settings, the process-wide
+/// signal token, the shared heartbeat the cells beat on every consumed
+/// trial, and (when `--stall-timeout-s` is set) the real-wall-clock
+/// watchdog that trips the token when the heartbeat goes flat.
+struct Supervisor<'a> {
+    settings: &'a RunSettings,
     interrupt: CancelToken,
     heartbeat: Heartbeat,
     _watchdog: Option<Watchdog>,
 }
 
-impl Supervisor {
+impl<'a> Supervisor<'a> {
     /// Installs the signal handlers and arms the watchdog.
-    fn start(settings: &RunSettings) -> Self {
+    fn start(settings: &'a RunSettings) -> Self {
         let interrupt = signal::install();
         let heartbeat = Heartbeat::new();
         let watchdog = settings
@@ -340,37 +341,51 @@ impl Supervisor {
             .filter(|s| *s > 0.0)
             .map(|s| Watchdog::spawn(heartbeat.clone(), interrupt.clone(), std::time::Duration::from_secs_f64(s)));
         Self {
+            settings,
             interrupt,
             heartbeat,
             _watchdog: watchdog,
         }
     }
 
-    /// Builds one cell's [`RunControl`]: fresh per-cell token, campaign
-    /// interrupt forwarded in, deadlines from the settings with the wall
-    /// budget reduced by what earlier cells already spent.
-    fn control(&self, settings: &RunSettings, wall_spent_s: f64) -> RunControl {
-        RunControl::none()
+    /// Runs one cell with `tuner` under a fresh per-cell token, with the
+    /// campaign interrupt forwarded in and the wall budget reduced by the
+    /// `wall_spent_s` earlier cells already spent. With `--checkpoint-dir`
+    /// the cell is journaled under `<dir>/<cell>` through
+    /// [`run_supervised`]; without it the tuner runs directly and settles
+    /// into the same typed [`SupervisedOutcome`].
+    #[allow(clippy::too_many_arguments)]
+    fn run_cell(
+        &self,
+        tuner: &mut dyn Tuner,
+        cell: &str,
+        rungs: &[(String, u8)],
+        task: &Task,
+        space: &SearchSpace,
+        measurer: &mut Measurer,
+        budget: Budget,
+        seed: u64,
+        wall_spent_s: f64,
+    ) -> Result<SupervisedOutcome, String> {
+        let run = self.settings;
+        let control = RunControl::none()
             .interrupted_by(self.interrupt.clone())
             .heartbeat(self.heartbeat.clone())
-            .deadline_s(settings.deadline_s)
-            .wall_deadline_s(settings.max_wall_s.map(|w| (w - wall_spent_s).max(0.0)))
-    }
-}
-
-/// Settles a cell that ran without a journal into the same typed
-/// [`SupervisedOutcome`] the checkpointed path reports.
-fn settle_unjournaled(control: &RunControl, outcome: TuningOutcome, device_dead: bool) -> SupervisedOutcome {
-    let deadline_slack_s = [control.deadline_s, control.wall_deadline_s]
-        .into_iter()
-        .flatten()
-        .reduce(f64::min)
-        .map(|tightest| tightest - outcome.gpu_seconds);
-    let component_fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
-    SupervisedOutcome {
-        status: CellStatus::settle_with_health(control.cancel.reason(), device_dead, component_fallback),
-        deadline_slack_s,
-        outcome,
+            .deadline_s(run.deadline_s)
+            .wall_deadline_s(run.max_wall_s.map(|w| (w - wall_spent_s).max(0.0)));
+        let Some(root) = &run.checkpoint_dir else {
+            let outcome = tuner.tune(TuneContext::new(task, space, measurer, budget, seed).with_control(control.clone()));
+            let reason = control.cancel.reason();
+            return Ok(SupervisedOutcome::settle(outcome, reason, measurer.is_device_dead(), &control));
+        };
+        let rates = run.faults.rates_for(&measurer.gpu().name);
+        let dir = root.join(cell);
+        let spec = CheckpointSpec::new(&dir)
+            .resuming(run.resume)
+            .with_storage(run.faults.storage_faults())
+            .with_faults(run.faults.seed, rates)
+            .with_rungs(rungs);
+        run_supervised(tuner, &spec, task, space, measurer, budget, seed, &control).map_err(|e| e.to_string())
     }
 }
 
@@ -611,21 +626,8 @@ pub fn tune(args: &[String]) -> Result<(), String> {
         let space = templates::space_for_task(task);
         let mut measurer = Measurer::with_faults(gpu.clone(), 7, &options.run.faults);
         let budget = Budget::measurements(options.budget);
-        let control = supervisor.control(&options.run, total_s);
-        let supervised = if let Some(root) = &options.run.checkpoint_dir {
-            let cell = root.join(&cell_name);
-            let spec = CheckpointSpec::new(&cell)
-                .resuming(options.run.resume)
-                .with_storage(options.run.faults.storage_faults())
-                .with_faults(options.run.faults.seed, options.run.faults.rates_for(&gpu.name))
-                .with_rungs(&rungs);
-            let mut tuner = build_tuner(&options.tuner, artifacts.as_ref(), gpu)?;
-            run_supervised(&mut *tuner, &spec, task, &space, &mut measurer, budget, 7, &control).map_err(|e| e.to_string())?
-        } else {
-            let ctx = TuneContext::new(task, &space, &mut measurer, budget, 7).with_control(control.clone());
-            let outcome = run_tuner(&options.tuner, artifacts.as_ref(), gpu, ctx)?;
-            settle_unjournaled(&control, outcome, measurer.is_device_dead())
-        };
+        let mut tuner = build_tuner(&options.tuner, artifacts.as_ref(), gpu)?;
+        let supervised = supervisor.run_cell(&mut *tuner, &cell_name, &rungs, task, &space, &mut measurer, budget, 7, total_s)?;
         total_s += supervised.outcome.gpu_seconds;
         println!(
             "L{:<4} {:<16} {:>10.0} {:>8} {:>9} {:>8} {:>11.1}  {}",
@@ -680,10 +682,6 @@ fn build_tuner<'a>(tuner: &str, artifacts: Option<&'a ResolvedArtifacts>, gpu: &
         "genetic" => Box::new(GeneticTuner::new()),
         other => return Err(format!("unknown tuner {other:?}")),
     })
-}
-
-fn run_tuner(tuner: &str, artifacts: Option<&ResolvedArtifacts>, gpu: &GpuSpec, ctx: TuneContext<'_>) -> Result<TuningOutcome, String> {
-    Ok(build_tuner(tuner, artifacts, gpu)?.tune(ctx))
 }
 
 /// Every envelope spec the current build writes; doctor verifies each file
@@ -900,7 +898,7 @@ fn parse_experiment_options(args: &[String]) -> Result<ExperimentOptions, String
 #[allow(clippy::too_many_arguments)]
 fn run_experiment_cell(
     options: &ExperimentOptions,
-    supervisor: &Supervisor,
+    supervisor: &Supervisor<'_>,
     task: &Task,
     space: &SearchSpace,
     measurer: &mut Measurer,
@@ -908,21 +906,9 @@ fn run_experiment_cell(
     cell_name: &str,
     seed: u64,
 ) -> Result<SupervisedOutcome, String> {
+    let mut tuner = build_tuner(&options.tuner, None, gpu)?;
     let budget = Budget::measurements(options.budget);
-    let control = supervisor.control(&options.run, 0.0);
-    if let Some(root) = &options.run.checkpoint_dir {
-        let cell = root.join(cell_name);
-        let spec = CheckpointSpec::new(&cell)
-            .resuming(options.run.resume)
-            .with_storage(options.run.faults.storage_faults())
-            .with_faults(options.run.faults.seed, options.run.faults.rates_for(&gpu.name));
-        let mut tuner = build_tuner(&options.tuner, None, gpu)?;
-        run_supervised(&mut *tuner, &spec, task, space, measurer, budget, seed, &control).map_err(|e| e.to_string())
-    } else {
-        let ctx = TuneContext::new(task, space, measurer, budget, seed).with_control(control.clone());
-        let outcome = run_tuner(&options.tuner, None, gpu, ctx)?;
-        Ok(settle_unjournaled(&control, outcome, measurer.is_device_dead()))
-    }
+    supervisor.run_cell(&mut *tuner, cell_name, &[], task, space, measurer, budget, seed, 0.0)
 }
 
 /// One result-table row for a fleet cell.

@@ -17,13 +17,14 @@ use crate::blueprint::Blueprint;
 use crate::health::ResolvedArtifacts;
 use crate::sampler::{EnsembleSampler, DEFAULT_MEMBERS, DEFAULT_TAU};
 use glimpse_gpu_spec::GpuSpec;
-use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+use glimpse_mlkit::sa::SaParams;
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use glimpse_supervise::health::{Component, HealthCause, HealthReport};
 use glimpse_tuners::cost_model::GbtCostModel;
+use glimpse_tuners::round::{anneal_round, AnnealRound};
 use glimpse_tuners::{TuneContext, Tuner, TuningOutcome};
-use rand::Rng;
+use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
 /// Glimpse hyperparameters and ablation switches.
@@ -179,13 +180,14 @@ impl Tuner for GlimpseTuner<'_> {
 
     fn tune(&mut self, mut ctx: TuneContext<'_>) -> TuningOutcome {
         let mut rng = child_rng(ctx.seed, 0x0911_A95E);
-        let template = ctx.space.template();
+        let space = ctx.space;
+        let template = space.template();
         let total_budget = ctx.budget.max_measurements.max(1);
         // Validate the (disk-loaded) prior against the live space once; a
         // layout mismatch degrades to uniform sampling — demoting the
         // component's health — instead of panicking mid-search.
         let prior = match self.artifacts.map(|a| a.prior(template)) {
-            Some(p) if self.prior_available() => match p.prior_weights(ctx.space, &self.blueprint) {
+            Some(p) if self.prior_available() => match p.prior_weights(space, &self.blueprint) {
                 Ok(_) => Some(p),
                 Err(err) => {
                     self.health
@@ -200,72 +202,56 @@ impl Tuner for GlimpseTuner<'_> {
             .filter(|_| self.config.use_acquisition && self.health.rung(Component::Acquisition) == 0)
             .map(|a| a.acquisition(template));
         let sampler = if self.config.use_sampler { self.sampler.as_ref() } else { None };
+        let blueprint = &self.blueprint;
+        // Hardware-aware sampling: reject configurations the ensemble vetoes.
+        let accept = |c: &Config| sampler.is_none_or(|s| s.accept(space, c));
 
         // Initial batch from the prior distributions (Algorithm 1, line 1),
         // filtered by the hardware-aware sampler.
         let initial: Vec<Config> = if let Some(prior) = prior {
             let raw = prior
-                .sample_initial(ctx.space, &self.blueprint, self.config.n_init * 3, &mut rng)
+                .sample_initial(space, blueprint, self.config.n_init * 3, &mut rng)
                 .unwrap_or_default();
-            let mut filtered = match sampler {
-                Some(sampler) => sampler.filter(ctx.space, raw),
-                None => raw,
-            };
+            let mut filtered: Vec<Config> = raw.into_iter().filter(|c| accept(c)).collect();
             filtered.truncate(self.config.n_init);
             let mut attempts = 0;
             while filtered.len() < self.config.n_init && attempts < 200 {
                 attempts += 1;
-                let extra = prior.sample_initial(ctx.space, &self.blueprint, 4, &mut rng).unwrap_or_default();
+                let extra = prior.sample_initial(space, blueprint, 4, &mut rng).unwrap_or_default();
                 for config in extra {
-                    if filtered.len() < self.config.n_init
-                        && !filtered.contains(&config)
-                        && sampler.is_none_or(|s| s.accept(ctx.space, &config))
-                    {
+                    if filtered.len() < self.config.n_init && !filtered.contains(&config) && accept(&config) {
                         filtered.push(config);
                     }
                 }
             }
             filtered
         } else {
-            (0..self.config.n_init).map(|_| ctx.space.sample_uniform(&mut rng)).collect()
+            (0..self.config.n_init).map(|_| space.sample_uniform(&mut rng)).collect()
         };
         ctx.measure_batch(&initial);
 
         // Cost-model ladder: rung 0 trains the GBT surrogate online; rung 1
         // ranks by measured history only (nothing trained, nothing to lose).
         let mut model = (self.health.rung(Component::CostModel) == 0).then(|| GbtCostModel::new(ctx.seed ^ 0x91));
-        // A cancelled SA round is discarded whole, so supervision never
-        // perturbs the journal.
-        let cancel = ctx.cancel_token();
+        // Chain starts: the incumbent half, then fresh prior samples (the
+        // prior keeps proposing plausible regions even mid-run).
+        let round = AnnealRound {
+            sa: SaParams {
+                chains: self.config.sa_chains,
+                max_steps: self.config.sa_steps,
+                t_start: 0.6,
+                t_end: 0.05,
+                patience: self.config.sa_patience,
+            },
+            incumbents: self.config.sa_chains / 2,
+            take: self.config.batch_size,
+        };
         while !ctx.exhausted() {
             if let Some(model) = model.as_mut() {
-                model.fit(ctx.space, ctx.history());
+                model.fit(space, ctx.history());
             }
             let t_frac = ctx.history().len() as f64 / total_budget as f64;
-
-            // Chain starts: incumbents + fresh prior samples (the prior keeps
-            // proposing plausible regions even mid-run).
-            let mut ranked = ctx.history().valid_pairs();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let history_ranks = if model.is_none() {
-                Some(history_rank_energy(&ranked))
-            } else {
-                None
-            };
-            let mut starts: Vec<Config> = ranked.iter().map(|(c, _)| (*c).clone()).take(self.config.sa_chains / 2).collect();
-            if let Some(prior) = prior {
-                starts.extend(
-                    prior
-                        .sample_initial(ctx.space, &self.blueprint, self.config.sa_chains - starts.len(), &mut rng)
-                        .unwrap_or_default(),
-                );
-            }
-            while starts.len() < self.config.sa_chains {
-                starts.push(ctx.space.sample_uniform(&mut rng));
-            }
-
-            let space = ctx.space;
-            let blueprint = &self.blueprint;
+            let history_ranks = model.is_none().then(|| history_rank_energy(&ctx.history().ranked()));
             // Early in the run the meta-learned, Blueprint-conditioned
             // acquisition carries most of the signal; as local evidence
             // accumulates the online surrogate becomes the sharper guide.
@@ -290,40 +276,12 @@ impl Tuner for GlimpseTuner<'_> {
                     mu
                 }
             };
-            // One seed per round: chains fan out across worker threads and
-            // split the seed per chain, so results are identical at any
-            // thread count.
-            let sa_seed: u64 = rng.gen();
-            let Some(outcome) = anneal_cancellable_in_place(
-                &starts,
-                energy,
-                |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
-                SaParams {
-                    chains: self.config.sa_chains,
-                    max_steps: self.config.sa_steps,
-                    t_start: 0.6,
-                    t_end: 0.05,
-                    patience: self.config.sa_patience,
-                },
-                sa_seed,
-                &cancel,
-            ) else {
+            let prior_starts = |n: usize, rng: &mut StdRng| {
+                prior.map_or_else(Vec::new, |prior| prior.sample_initial(space, blueprint, n, rng).unwrap_or_default())
+            };
+            let Some(mut batch) = anneal_round(&mut ctx, &mut rng, &round, prior_starts, energy, accept) else {
                 break;
             };
-            ctx.add_explorer_steps(outcome.steps_executed);
-
-            // Hardware-aware sampling: reject proposals the ensemble vetoes.
-            let mut batch: Vec<Config> = Vec::new();
-            for (config, _) in outcome.top_k(self.config.sa_chains) {
-                if batch.len() >= self.config.batch_size {
-                    break;
-                }
-                let fresh = !ctx.seen(&config) && !batch.contains(&config);
-                let accepted = sampler.is_none_or(|s| s.accept(space, &config));
-                if fresh && accepted {
-                    batch.push(config);
-                }
-            }
             // Fill remainder from the prior (sampler-checked).
             let mut attempts = 0;
             while batch.len() < self.config.batch_size && attempts < 300 {
@@ -337,9 +295,7 @@ impl Tuner for GlimpseTuner<'_> {
                 } else {
                     space.sample_uniform(&mut rng)
                 };
-                let fresh = !ctx.seen(&config) && !batch.contains(&config);
-                let accepted = sampler.is_none_or(|s| s.accept(space, &config));
-                if fresh && accepted {
+                if !ctx.seen(&config) && !batch.contains(&config) && accept(&config) {
                     batch.push(config);
                 }
             }

@@ -133,7 +133,6 @@ const P1_SCOPE: &[&str] = &[
     "crates/sim/src/measure.rs",
     "crates/sim/src/pool.rs",
     "crates/sim/src/retry.rs",
-    "crates/sim/src/trace.rs",
     "crates/tensor-prog/src/models.rs",
     "crates/tuners/src/context.rs",
     "crates/tuners/src/history.rs",

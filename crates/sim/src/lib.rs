@@ -42,7 +42,6 @@ pub mod measure;
 pub mod model;
 pub mod pool;
 pub mod retry;
-pub mod trace;
 pub mod validity;
 
 pub use fault::{ArtifactFaults, FaultPlan, FaultRates, InjectorState, MeasureFault, StorageFaults};

@@ -19,10 +19,9 @@
 use crate::context::{TuneContext, Tuner, TuningOutcome};
 use crate::cost_model::GbtCostModel;
 use crate::history::TuningHistory;
-use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+use crate::round::{anneal_round, seed_uniform, AnnealRound};
+use glimpse_mlkit::sa::SaParams;
 use glimpse_mlkit::stats::child_rng;
-use glimpse_space::Config;
-use rand::Rng;
 
 /// AutoTVM hyperparameters.
 #[derive(Debug, Clone)]
@@ -114,56 +113,29 @@ impl Tuner for AutoTvmTuner {
         }
 
         // Phase 1: random initialization (skipped under transfer).
-        while !model.is_fitted() && ctx.history().len() < self.config.n_init && !ctx.exhausted() {
-            let config = ctx.space.sample_uniform(&mut rng);
-            ctx.measure(&config);
-            ctx.add_explorer_steps(1);
+        if !model.is_fitted() {
+            seed_uniform(&mut ctx, self.config.n_init, &mut rng);
         }
 
-        // Phase 2: surrogate-guided annealing rounds. A cancelled SA round
-        // is discarded whole, so supervision never perturbs the journal.
-        let cancel = ctx.cancel_token();
+        // Phase 2: surrogate-guided annealing rounds from the incumbent
+        // quarter plus random restarts.
+        let round = AnnealRound {
+            sa: SaParams {
+                chains: self.config.sa_chains,
+                max_steps: self.config.sa_steps,
+                t_start: 1.0,
+                t_end: 0.05,
+                patience: 0,
+            },
+            incumbents: self.config.sa_chains / 4,
+            take: self.config.batch_size,
+        };
         while !ctx.exhausted() {
             model.fit(ctx.space, ctx.history());
-            // Chain starts: incumbent top configs + random restarts.
-            let mut ranked = ctx.history().valid_pairs();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let mut starts: Vec<Config> = ranked.iter().map(|(c, _)| (*c).clone()).take(self.config.sa_chains / 4).collect();
-            while starts.len() < self.config.sa_chains {
-                starts.push(ctx.space.sample_uniform(&mut rng));
-            }
             let space = ctx.space;
-            // One seed per round keeps the batch deterministic while the
-            // chains fan out across worker threads (seed-split per chain).
-            let sa_seed: u64 = rng.gen();
-            let Some(outcome) = anneal_cancellable_in_place(
-                &starts,
-                |c| model.predict(space, c),
-                |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
-                SaParams {
-                    chains: self.config.sa_chains,
-                    max_steps: self.config.sa_steps,
-                    t_start: 1.0,
-                    t_end: 0.05,
-                    patience: 0,
-                },
-                sa_seed,
-                &cancel,
-            ) else {
+            let Some(mut batch) = anneal_round(&mut ctx, &mut rng, &round, |_, _| Vec::new(), |c| model.predict(space, c), |_| true) else {
                 break;
             };
-            ctx.add_explorer_steps(outcome.steps_executed);
-
-            // Top distinct, unseen proposals.
-            let mut batch: Vec<Config> = Vec::new();
-            for (config, _) in outcome.top_k(self.config.sa_chains) {
-                if batch.len() >= self.config.batch_size {
-                    break;
-                }
-                if !ctx.seen(&config) && !batch.contains(&config) {
-                    batch.push(config);
-                }
-            }
             // ε-greedy: replace a fraction with fresh random samples.
             let n_random = ((self.config.batch_size as f64) * self.config.epsilon).ceil() as usize;
             for _ in 0..n_random {

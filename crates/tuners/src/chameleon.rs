@@ -17,8 +17,9 @@
 
 use crate::context::{TuneContext, Tuner, TuningOutcome};
 use crate::cost_model::GbtCostModel;
+use crate::round::{anneal_round, seed_uniform, AnnealRound};
 use glimpse_mlkit::kmeans::{kmeans, snap_to_points};
-use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+use glimpse_mlkit::sa::SaParams;
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use rand::Rng;
@@ -90,59 +91,41 @@ impl Tuner for ChameleonTuner {
         let mut rng = child_rng(ctx.seed, 0xC4A3_1E0A);
         let mut model = GbtCostModel::new(ctx.seed ^ 0x11);
 
-        while ctx.history().len() < self.config.n_init && !ctx.exhausted() {
-            let config = ctx.space.sample_uniform(&mut rng);
-            ctx.measure(&config);
-            ctx.add_explorer_steps(1);
-        }
+        seed_uniform(&mut ctx, self.config.n_init, &mut rng);
 
         let mut round = 0usize;
-        // A cancelled SA round is discarded whole, so supervision never
-        // perturbs the journal.
-        let cancel = ctx.cancel_token();
         while !ctx.exhausted() {
             model.fit(ctx.space, ctx.history());
-            // Adaptive exploration: shrinking annealing budget, greedy restarts.
+            // Adaptive exploration: shrinking annealing budget, greedy
+            // restarts from the incumbent half.
             let steps = ((self.config.sa_steps_initial as f64) * self.config.sa_decay.powi(round as i32))
                 .ceil()
                 .max(8.0) as usize;
             round += 1;
-            let mut ranked = ctx.history().valid_pairs();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let mut starts: Vec<Config> = ranked.iter().map(|(c, _)| (*c).clone()).take(self.config.sa_chains / 2).collect();
-            while starts.len() < self.config.sa_chains {
-                starts.push(ctx.space.sample_uniform(&mut rng));
-            }
-            let space = ctx.space;
-            // Per-round seed: chains fan out across workers, seed-split per
-            // chain, so the round is deterministic at any thread count.
-            let sa_seed: u64 = rng.gen();
-            let Some(outcome) = anneal_cancellable_in_place(
-                &starts,
-                |c| model.predict(space, c),
-                |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
-                SaParams {
+            let anneal = AnnealRound {
+                sa: SaParams {
                     chains: self.config.sa_chains,
                     max_steps: steps,
                     t_start: 1.0,
                     t_end: 0.05,
                     patience: 0,
                 },
-                sa_seed,
-                &cancel,
+                incumbents: self.config.sa_chains / 2,
+                take: usize::MAX,
+            };
+            let space = ctx.space;
+            // Candidate pool for adaptive sampling: every fresh proposal.
+            let Some(mut pool) = anneal_round(
+                &mut ctx,
+                &mut rng,
+                &anneal,
+                |_, _| Vec::new(),
+                |c| model.predict(space, c),
+                |_| true,
             ) else {
                 break;
             };
-            ctx.add_explorer_steps(outcome.steps_executed);
-
-            // Candidate pool for adaptive sampling.
             let pool_target = self.config.batch_size * self.config.pool_factor;
-            let mut pool: Vec<Config> = Vec::new();
-            for (config, _) in outcome.top_k(self.config.sa_chains) {
-                if !ctx.seen(&config) && !pool.contains(&config) {
-                    pool.push(config);
-                }
-            }
             // Expand the pool with neighbors of the *good* proposals (the
             // SA top-k seeds the front of the pool), keeping only candidates
             // the surrogate considers promising — Chameleon's sample

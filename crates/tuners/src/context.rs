@@ -90,6 +90,17 @@ impl RunControl {
         self.cancel_at_trial = Some(n);
         self
     }
+
+    /// Simulated seconds left under the tightest configured deadline once
+    /// `gpu_seconds` are spent (`None` without deadlines).
+    #[must_use]
+    pub(crate) fn deadline_slack(&self, gpu_seconds: f64) -> Option<f64> {
+        [self.deadline_s, self.wall_deadline_s]
+            .into_iter()
+            .flatten()
+            .reduce(f64::min)
+            .map(|tightest| tightest - gpu_seconds)
+    }
 }
 
 /// Everything a tuner needs for one run on one (GPU, task) pair.
@@ -289,9 +300,12 @@ impl<'a> TuneContext<'a> {
         self.consume(trial)
     }
 
-    /// Folds an externally measured trial into this run's journal without
-    /// re-measuring (the measurer's clock already advanced when the trial
-    /// was taken — e.g. by a portfolio member sharing this measurer).
+    /// Folds a trial the caller measured itself into this run's history
+    /// and journal without re-measuring (the measurer's clock already
+    /// advanced when the trial was taken — e.g. a driver that measures
+    /// through its own instrumented path). Replay follows the same rules as
+    /// [`TuneContext::measure`]: a recorded trial is served in place of
+    /// `trial`, and a configuration the journal did not record poisons it.
     pub fn absorb(&mut self, trial: Trial) {
         self.visited.insert(trial.config.indices().to_vec());
         if let Some(record) = self.next_replayed(&trial.config) {
@@ -445,6 +459,7 @@ pub trait Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{JournalError, RunHeader};
     use glimpse_gpu_spec::database;
     use glimpse_space::templates;
     use glimpse_tensor_prog::models;
@@ -540,6 +555,93 @@ mod tests {
         let ctx = TuneContext::new(&task, &space, &mut measurer, Budget::measurements(10), 1).with_control(control);
         assert!(ctx.exhausted());
         assert_eq!(cell.reason(), Some(CancelReason::Stalled));
+    }
+
+    fn header(task: &Task, measurer: &Measurer) -> RunHeader {
+        RunHeader {
+            tuner: "test".to_owned(),
+            gpu: measurer.gpu().name.clone(),
+            model: task.id.model.clone(),
+            task_index: task.id.index,
+            template: task.template,
+            budget: Budget::measurements(10),
+            seed: 1,
+            retry: RetryPolicy::default(),
+            fault_seed: 0,
+            fault_rates: glimpse_sim::FaultRates::none(),
+            rungs: Vec::new(),
+            start: measurer.state(),
+        }
+    }
+
+    fn reopen(dir: &std::path::Path) -> (RunJournal, Vec<TrialRecord>) {
+        let resumed = RunJournal::resume(dir, glimpse_sim::StorageFaults::none(), 16)
+            .unwrap()
+            .expect("header survived");
+        (resumed.journal, resumed.records)
+    }
+
+    #[test]
+    fn absorb_journals_live_trials_serves_replay_and_poisons_on_divergence() {
+        let (task, space, mut measurer) = fixture();
+        let dir = std::env::temp_dir().join(format!("glimpse-absorb-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let header = header(&task, &measurer);
+        let mut rng = StdRng::seed_from_u64(6);
+        let recorded = space.sample_uniform(&mut rng);
+        let mut other = space.sample_uniform(&mut rng);
+        while other == recorded {
+            other = space.sample_uniform(&mut rng);
+        }
+        let trial = Trial::from_measure(&measurer.measure(&space, &recorded));
+
+        // Live: an absorbed trial is appended exactly once, unmeasured.
+        let mut journal = RunJournal::create(&dir, &header, glimpse_sim::StorageFaults::none(), 16).unwrap();
+        let clock = measurer.elapsed_gpu_seconds();
+        let mut ctx = TuneContext::new(&task, &space, &mut measurer, Budget::measurements(10), 1).with_journal(&mut journal);
+        ctx.absorb(trial.clone());
+        assert!(ctx.seen(&recorded));
+        assert_eq!(ctx.history().trials, vec![trial.clone()]);
+        drop(ctx);
+        assert_eq!(journal.trials(), 1);
+        assert_eq!(
+            measurer.elapsed_gpu_seconds().to_bits(),
+            clock.to_bits(),
+            "absorb must not re-measure"
+        );
+        drop(journal);
+
+        // Replay: the journal's record is served in place of the absorbed
+        // trial, and nothing new is appended.
+        let (mut journal, records) = reopen(&dir);
+        assert_eq!(records.len(), 1);
+        let stale = Trial {
+            gflops: Some(-1.0),
+            ..trial.clone()
+        };
+        let mut ctx = TuneContext::new(&task, &space, &mut measurer, Budget::measurements(10), 1)
+            .with_journal(&mut journal)
+            .with_replay(records);
+        ctx.absorb(stale);
+        assert_eq!(ctx.history().trials, vec![trial.clone()]);
+        drop(ctx);
+        assert_eq!(journal.trials(), 1);
+        assert!(!journal.poisoned());
+        drop(journal);
+
+        // Divergence: absorbing a configuration the journal did not record
+        // poisons it, and the run fail-stops without consuming the trial.
+        let (mut journal, records) = reopen(&dir);
+        let divergent = Trial { config: other, ..trial };
+        let mut ctx = TuneContext::new(&task, &space, &mut measurer, Budget::measurements(10), 1)
+            .with_journal(&mut journal)
+            .with_replay(records);
+        ctx.absorb(divergent);
+        assert!(ctx.history().is_empty());
+        assert!(ctx.exhausted());
+        drop(ctx);
+        assert!(matches!(journal.take_poison(), Some(JournalError::ReplayDivergence { seq: 1 })));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

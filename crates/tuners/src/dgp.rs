@@ -10,6 +10,7 @@
 use crate::context::{TuneContext, Tuner, TuningOutcome};
 use crate::cost_model::GbtCostModel;
 use crate::history::TuningHistory;
+use crate::round::seed_uniform;
 use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
 use glimpse_mlkit::parallel::{parallel_map, Threads};
 use glimpse_mlkit::stats::child_rng;
@@ -96,11 +97,7 @@ impl Tuner for DgpTuner {
             prior.load_transfer(ctx.space, &refs, 64);
         }
 
-        while ctx.history().len() < self.config.n_init && !ctx.exhausted() {
-            let config = ctx.space.sample_uniform(&mut rng);
-            ctx.measure(&config);
-            ctx.add_explorer_steps(1);
-        }
+        seed_uniform(&mut ctx, self.config.n_init, &mut rng);
 
         while !ctx.exhausted() {
             if prior.transfer_len() > 0 {
@@ -144,8 +141,7 @@ impl Tuner for DgpTuner {
             );
 
             let best_y = ctx.history().best_gflops();
-            let mut ranked = ctx.history().valid_pairs();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let ranked = ctx.history().ranked();
             // Candidate generation stays sequential (it consumes the tuner
             // RNG); the acquisition scoring of the batch is pure and fans
             // out across workers below.

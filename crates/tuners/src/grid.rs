@@ -56,9 +56,8 @@ mod tests {
         let ctx = TuneContext::new(task, &space, &mut measurer, Budget::measurements(25), 7);
         let outcome = GridTuner::new().tune(ctx);
         assert_eq!(outcome.measurements, 25);
-        let mut indices: Vec<&glimpse_space::Config> = outcome.history.trials.iter().map(|t| &t.config).collect();
-        indices.dedup();
-        assert_eq!(indices.len(), 25, "grid must not repeat configs");
+        let distinct: std::collections::BTreeSet<&[usize]> = outcome.history.trials.iter().map(|t| t.config.indices()).collect();
+        assert_eq!(distinct.len(), 25, "grid must not repeat configs");
     }
 
     #[test]

@@ -200,6 +200,15 @@ impl TuningHistory {
     pub fn valid_pairs(&self) -> Vec<(&Config, f64)> {
         self.trials.iter().filter_map(|t| t.gflops.map(|g| (&t.config, g))).collect()
     }
+
+    /// [`TuningHistory::valid_pairs`], best first; equal throughputs keep
+    /// measurement order.
+    #[must_use]
+    pub fn ranked(&self) -> Vec<(&Config, f64)> {
+        let mut pairs = self.valid_pairs();
+        pairs.sort_by(|a, b| b.1.total_cmp(&a.1));
+        pairs
+    }
 }
 
 /// A collection of tuning histories from past runs — the corpus transfer

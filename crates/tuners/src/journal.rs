@@ -42,7 +42,7 @@ use crate::context::{RunControl, TuneContext, Tuner, TuningOutcome};
 use crate::history::Trial;
 use glimpse_sim::{FaultRates, Measurer, MeasurerState, RetryPolicy, StorageFaults};
 use glimpse_space::SearchSpace;
-use glimpse_supervise::{Abandonment, CellStatus};
+use glimpse_supervise::{CancelReason, CellStatus, HealthReport};
 use glimpse_tensor_prog::{Task, TemplateKind};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -547,6 +547,21 @@ pub struct SupervisedOutcome {
     pub deadline_slack_s: Option<f64>,
 }
 
+impl SupervisedOutcome {
+    /// Settles a finished run into its typed status (see
+    /// [`CellStatus::settle_with_health`]) and its deadline slack under
+    /// `control`.
+    #[must_use]
+    pub fn settle(outcome: TuningOutcome, reason: Option<CancelReason>, device_dead: bool, control: &RunControl) -> Self {
+        let component_fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
+        Self {
+            status: CellStatus::settle_with_health(reason, device_dead, component_fallback),
+            deadline_slack_s: control.deadline_slack(outcome.gpu_seconds),
+            outcome,
+        }
+    }
+}
+
 /// Runs `tuner` on one (task, device) cell with crash-safe journaling.
 ///
 /// Fresh run: writes the header, journals every trial before the tuner
@@ -623,12 +638,7 @@ pub fn run_supervised<T: Tuner + ?Sized>(
         if let Some(outcome) = load_complete(spec.dir)? {
             // A completed cell re-reports through its stored health: a run
             // that finished on fallback rungs stays Degraded on resume.
-            let fallback = outcome.health.as_ref().is_some_and(glimpse_supervise::HealthReport::any_degraded);
-            return Ok(SupervisedOutcome {
-                deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
-                status: CellStatus::settle_with_health(None, false, fallback),
-                outcome,
-            });
+            return Ok(SupervisedOutcome::settle(outcome, None, false, control));
         }
         resumed = RunJournal::resume(spec.dir, spec.storage, spec.snapshot_every)?;
         if resumed.is_none() {
@@ -673,38 +683,17 @@ pub fn run_supervised<T: Tuner + ?Sized>(
     if let Some(err) = journal.take_poison() {
         return Err(err);
     }
-    let component_fallback = outcome.health.as_ref().is_some_and(glimpse_supervise::HealthReport::any_degraded);
-    let status = match (control.cancel.reason(), measurer.is_device_dead()) {
-        (Some(reason), _) => {
-            journal.flush_snapshot(&measurer.state())?;
-            CellStatus::Degraded(reason.into())
-        }
-        (None, true) => {
-            journal.flush_snapshot(&measurer.state())?;
-            CellStatus::Abandoned(Abandonment::DeviceDead)
-        }
-        (None, false) => {
-            // A full-budget run on fallback rungs is still *finished*:
-            // complete.json is written (the cell never re-runs), but the
-            // status reports the weakened search strategy.
-            journal.mark_complete(&outcome)?;
-            CellStatus::settle_with_health(None, false, component_fallback)
-        }
-    };
-    Ok(SupervisedOutcome {
-        deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
-        status,
-        outcome,
-    })
-}
-
-/// Simulated seconds left under the tightest configured deadline.
-fn deadline_slack(control: &RunControl, gpu_seconds: f64) -> Option<f64> {
-    [control.deadline_s, control.wall_deadline_s]
-        .into_iter()
-        .flatten()
-        .fold(None, |tightest: Option<f64>, d| Some(tightest.map_or(d, |t| t.min(d))))
-        .map(|tightest| tightest - gpu_seconds)
+    let reason = control.cancel.reason();
+    let device_dead = measurer.is_device_dead();
+    if reason.is_some() || device_dead {
+        journal.flush_snapshot(&measurer.state())?;
+    } else {
+        // A full-budget run on fallback rungs is still *finished*:
+        // complete.json is written (the cell never re-runs), but the
+        // status reports the weakened search strategy.
+        journal.mark_complete(&outcome)?;
+    }
+    Ok(SupervisedOutcome::settle(outcome, reason, device_dead, control))
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -15,6 +15,12 @@
 //!   improvement and cross-task transfer priors (Sun et al., ICCV '21).
 //! * [`random::RandomTuner`], [`grid::GridTuner`] — sanity baselines.
 //!
+//! AutoTVM, Chameleon and Glimpse share one explore step,
+//! [`round::anneal_round`]: annealing chains started from the incumbents
+//! maximise a tuner-supplied energy, and the best unmeasured proposals that
+//! pass a tuner-supplied filter come back. Each tuner keeps only its own
+//! energy, extra chain starts and batch post-processing.
+//!
 //! All tuners speak the same [`Tuner`] trait and report the same
 //! [`TuningOutcome`] metrics (best GFLOPS, explorer steps, invalid counts,
 //! simulated GPU seconds), which is what the figure harnesses aggregate.
@@ -33,10 +39,8 @@ pub mod genetic;
 pub mod grid;
 pub mod history;
 pub mod journal;
-pub mod portfolio;
 pub mod random;
-pub mod replay;
-pub mod scheduler;
+pub mod round;
 
 pub use budget::Budget;
 pub use context::{RunControl, TuneContext, Tuner, TuningOutcome};

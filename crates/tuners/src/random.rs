@@ -2,7 +2,6 @@
 
 use crate::context::{TuneContext, Tuner, TuningOutcome};
 use glimpse_mlkit::stats::child_rng;
-use rand::Rng;
 
 /// Samples configurations uniformly at random until the budget is spent.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,7 +35,6 @@ impl Tuner for RandomTuner {
             // One sample drawn = one (degenerate) explorer step.
             ctx.add_explorer_steps(1);
         }
-        let _ = rng.gen::<u64>();
         ctx.finish(self.name())
     }
 }
