@@ -24,7 +24,7 @@ use glimpse_gpu_spec::database;
 use glimpse_mlkit::gbt::{prefix_sum_best_split, two_pass_best_split, Gbt, GbtParams};
 use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
 use glimpse_mlkit::parallel::{available_workers, set_default_threads, Threads};
-use glimpse_mlkit::sa::{anneal_threaded, SaParams};
+use glimpse_mlkit::sa::{anneal_threaded_in_place, SaParams};
 use glimpse_sim::Measurer;
 use glimpse_space::templates;
 use glimpse_tensor_prog::models;
@@ -108,10 +108,10 @@ fn main() {
         patience: 0,
     };
     let run_sa = |threads: Threads| {
-        anneal_threaded(
+        anneal_threaded_in_place(
             &starts,
             |c| surrogate.predict(&space, c),
-            |c, r| space.neighbor(c, r),
+            |c, out, r| space.neighbor_into(c, out, r),
             params,
             77,
             threads,

@@ -461,6 +461,44 @@ fn finish_campaign(report: &DegradationReport, settings: &RunSettings, resume_hi
     Ok(())
 }
 
+/// The command that resumes a `glimpse <subcommand>` campaign: the user's
+/// own arguments plus `--resume`, minus the per-invocation limits
+/// (`--deadline-s`, `--max-wall-s`, `--stall-timeout-s`), which would trip
+/// again at once. Arguments containing a space are quoted.
+fn resume_command(subcommand: &str, args: &[String]) -> String {
+    let mut words = vec!["glimpse".to_owned(), subcommand.to_owned()];
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if matches!(arg.as_str(), "--deadline-s" | "--max-wall-s" | "--stall-timeout-s") {
+            it.next();
+        } else {
+            words.push(arg.clone());
+        }
+    }
+    if !args.iter().any(|a| a == "--resume") {
+        words.push("--resume".to_owned());
+    }
+    let quoted: Vec<String> = words
+        .into_iter()
+        .map(|w| if w.contains(' ') { format!("{w:?}") } else { w })
+        .collect();
+    quoted.join(" ")
+}
+
+/// One result-table row: the caller's padded label column, then the
+/// cell's outcome columns.
+fn print_result_row(label: &str, supervised: &SupervisedOutcome) {
+    println!(
+        "{label} {:>10.0} {:>8} {:>9} {:>8} {:>11.1}  {}",
+        supervised.outcome.best_gflops,
+        supervised.outcome.measurements,
+        supervised.outcome.invalid_measurements,
+        supervised.outcome.faulted_measurements,
+        supervised.outcome.gpu_seconds,
+        status_label(&supervised.status)
+    );
+}
+
 /// Installs the worker-count override for the search hot paths. Results are
 /// bit-identical at any thread count, so this only changes wall-clock time.
 fn apply_threads(threads: Option<usize>) {
@@ -629,17 +667,7 @@ pub fn tune(args: &[String]) -> Result<(), String> {
         let mut tuner = build_tuner(&options.tuner, artifacts.as_ref(), gpu)?;
         let supervised = supervisor.run_cell(&mut *tuner, &cell_name, &rungs, task, &space, &mut measurer, budget, 7, total_s)?;
         total_s += supervised.outcome.gpu_seconds;
-        println!(
-            "L{:<4} {:<16} {:>10.0} {:>8} {:>9} {:>8} {:>11.1}  {}",
-            i,
-            task.template.to_string(),
-            supervised.outcome.best_gflops,
-            supervised.outcome.measurements,
-            supervised.outcome.invalid_measurements,
-            supervised.outcome.faulted_measurements,
-            supervised.outcome.gpu_seconds,
-            status_label(&supervised.status)
-        );
+        print_result_row(&format!("L{:<4} {:<16}", i, task.template.to_string()), &supervised);
         if let Some(best) = &supervised.outcome.best_config {
             println!("      {}", space.describe(best));
         }
@@ -649,24 +677,7 @@ pub fn tune(args: &[String]) -> Result<(), String> {
         report.push(cell_report(cell_name, &gpu.name, &supervised, 0));
     }
     println!("\ntotal simulated GPU time: {:.1} s ({:.2} h)", total_s, total_s / 3600.0);
-    let resume_hint = match &options.run.checkpoint_dir {
-        Some(dir) => {
-            let mut hint = format!(
-                "glimpse tune {} {:?} --tuner {} --budget {} --checkpoint-dir {:?} --resume",
-                options.model,
-                options.gpu,
-                options.tuner,
-                options.budget,
-                dir.display().to_string()
-            );
-            if let Some(i) = options.task {
-                hint.push_str(&format!(" --task {i}"));
-            }
-            hint
-        }
-        None => String::new(),
-    };
-    finish_campaign(&report, &options.run, &resume_hint)
+    finish_campaign(&report, &options.run, &resume_command("tune", args))
 }
 
 fn build_tuner<'a>(tuner: &str, artifacts: Option<&'a ResolvedArtifacts>, gpu: &'a GpuSpec) -> Result<Box<dyn Tuner + 'a>, String> {
@@ -911,20 +922,6 @@ fn run_experiment_cell(
     supervisor.run_cell(&mut *tuner, cell_name, &[], task, space, measurer, budget, seed, 0.0)
 }
 
-/// One result-table row for a fleet cell.
-fn print_experiment_row(device: &str, supervised: &SupervisedOutcome) {
-    println!(
-        "{:<18} {:>10.0} {:>8} {:>9} {:>8} {:>11.1}  {}",
-        device,
-        supervised.outcome.best_gflops,
-        supervised.outcome.measurements,
-        supervised.outcome.invalid_measurements,
-        supervised.outcome.faulted_measurements,
-        supervised.outcome.gpu_seconds,
-        status_label(&supervised.status)
-    );
-}
-
 /// `glimpse experiment <model> [options]` — tunes one task on every device
 /// of a fleet through a [`DevicePool`], surviving faulted or dead devices.
 /// Cells orphaned by a dead device are reassigned to the first healthy
@@ -1025,7 +1022,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
                 if let Some(status) = reassigned_status {
                     row.status = status;
                 }
-                print_experiment_row(name, supervised);
+                print_result_row(&format!("{name:<18}"), supervised);
                 report.push(row);
             }
             Ok(Err(message)) => {
@@ -1055,7 +1052,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
         let survivor_name = &fleet[*survivor].name;
         match outcome {
             Ok(supervised) => {
-                print_experiment_row(survivor_name, supervised);
+                print_result_row(&format!("{survivor_name:<18}"), supervised);
                 report.push(cell_report(
                     new_cell,
                     survivor_name,
@@ -1075,18 +1072,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
     }
     println!("\nfleet health:");
     print!("{}", pool.summary());
-    let resume_hint = match &options.run.checkpoint_dir {
-        Some(dir) => format!(
-            "glimpse experiment {} --tuner {} --budget {} --task {} --checkpoint-dir {:?} --resume",
-            options.model,
-            options.tuner,
-            options.budget,
-            options.task,
-            dir.display().to_string()
-        ),
-        None => String::new(),
-    };
-    finish_campaign(&report, &options.run, &resume_hint)
+    finish_campaign(&report, &options.run, &resume_command("experiment", args))
 }
 
 #[cfg(test)]
@@ -1315,6 +1301,29 @@ mod tests {
         let report = std::fs::read_to_string(dir.join("degradation.json")).unwrap();
         assert!(report.contains("ComponentFallback"), "got: {report}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_command_keeps_user_flags_and_drops_per_invocation_limits() {
+        let args: Vec<String> = [
+            "alexnet",
+            "--gpus",
+            "Titan Xp,RTX 3090",
+            "--max-wall-s",
+            "9",
+            "--pool-policy",
+            "quarantine=1",
+            "--checkpoint-dir",
+            "d",
+            "--resume",
+        ]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+        assert_eq!(
+            resume_command("experiment", &args),
+            "glimpse experiment alexnet --gpus \"Titan Xp,RTX 3090\" --pool-policy quarantine=1 --checkpoint-dir d --resume"
+        );
     }
 
     #[test]

@@ -1,23 +1,7 @@
 //! `glimpse` — command-line interface to the Glimpse reproduction.
 //!
-//! ```text
-//! glimpse gpus                      list the data-sheet database
-//! glimpse models                    list the model zoo and task counts
-//! glimpse blueprint <gpu>           embed a GPU and explain the embedding
-//! glimpse sheet <file>              parse a textual data sheet
-//! glimpse sweep                     Blueprint size vs information loss
-//! glimpse doctor <dir>              verify artifact envelopes, print health
-//! glimpse tune <model> <gpu> [opts] tune a model (or one task) on a GPU
-//!   --tuner <glimpse|autotvm|chameleon|dgp|random|genetic>   (default glimpse)
-//!   --budget <n>                    measurements per task     (default 128)
-//!   --task <i>                      tune only task i
-//!   --artifacts <path>              load/store meta-trained artifacts
-//!   --full-training                 full-size offline training (slow)
-//!   --fault-plan <spec>             inject measurement faults
-//!   --fault-seed <n>                fault stream seed
-//!   --threads <n>                   search worker threads (0 = auto)
-//! glimpse experiment <model> [opts] tune one task across a device fleet
-//! ```
+//! The subcommands and their flags are documented once, in
+//! [`commands::USAGE`] (printed by `glimpse help`).
 
 #![forbid(unsafe_code)]
 

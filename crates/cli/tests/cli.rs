@@ -99,3 +99,58 @@ fn tune_single_task_with_random_tuner() {
     assert!(text.contains("L2"));
     assert!(text.contains("total simulated GPU time"));
 }
+
+/// Splits a printed command line into words, honoring the double quotes
+/// the CLI puts around arguments that contain a space.
+fn split_command(line: &str) -> Vec<String> {
+    let mut words = Vec::new();
+    let mut word = String::new();
+    let mut quoted = false;
+    let mut chars = line.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => quoted = !quoted,
+            '\\' if quoted => word.extend(chars.next()),
+            ' ' if !quoted => {
+                if !word.is_empty() {
+                    words.push(std::mem::take(&mut word));
+                }
+            }
+            _ => word.push(c),
+        }
+    }
+    if !word.is_empty() {
+        words.push(word);
+    }
+    words
+}
+
+#[test]
+fn printed_resume_command_finishes_a_faulted_deadline_run() {
+    let dir = std::env::temp_dir().join("glimpse-cli-resume-hint-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = glimpse()
+        .args(["tune", "alexnet", "Titan Xp", "--tuner", "random", "--budget", "12", "--task", "2"])
+        .args(["--fault-plan", "timeout=0.2,launch=0.1", "--fault-seed", "9", "--deadline-s", "0"])
+        .arg("--checkpoint-dir")
+        .arg(&dir)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(!dir.join("task2").join("complete.json").exists());
+    let hint = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("resume with: "))
+        .unwrap_or_else(|| panic!("no resume command in: {stderr}"));
+    let words = split_command(hint);
+    assert_eq!(&words[..2], ["glimpse", "tune"], "{hint}");
+    assert!(!words.iter().any(|w| w == "--deadline-s"), "{hint}");
+
+    let out = glimpse().args(&words[1..]).output().expect("spawn");
+    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(dir.join("task2").join("complete.json").exists());
+    let report = std::fs::read_to_string(dir.join("degradation.json")).unwrap();
+    assert!(report.contains("Complete"), "got: {report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,11 +1,10 @@
 //! Walks the workspace, runs every lexical rule over every first-party
 //! source file, builds the call graph, propagates the effect lattice to a
 //! fixpoint, runs the transitive rules, and assembles a deterministic
-//! [`Report`]. Per-file work (lex + parse + lexical rules) replays from the
-//! incremental [`FactCache`] for unchanged files; the graph and fixpoint
-//! re-run over the combined fact set every time — they are the cheap part.
+//! [`Report`]. Every run analyses every file from source: the whole
+//! workspace takes well under the CI's 500 ms budget, so there is nothing
+//! to cache.
 
-use crate::cache::{fingerprint, CacheEntry, FactCache};
 use crate::callgraph::CallGraph;
 use crate::effects;
 use crate::parser;
@@ -29,10 +28,6 @@ pub struct GraphStats {
     pub unresolved_calls: usize,
     /// Fixpoint rounds until quiescence.
     pub fixpoint_iterations: usize,
-    /// Files replayed from the fact cache.
-    pub cache_hits: usize,
-    /// Files lexed + parsed fresh.
-    pub cache_misses: usize,
 }
 
 /// Result of one full analysis pass.
@@ -46,7 +41,7 @@ pub struct Report {
     pub allow_directives: usize,
     /// All violations, ordered by `(file, line, col, rule)`.
     pub violations: Vec<Violation>,
-    /// Call-graph / fixpoint / cache statistics.
+    /// Call-graph / fixpoint statistics.
     pub graph: GraphStats,
 }
 
@@ -119,43 +114,17 @@ fn walk_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// golden-fixture tests drive it directly.
 #[must_use]
 pub fn check_sources(sources: &[(String, String)]) -> Report {
-    analyze_sources(sources, &mut FactCache::empty())
-}
-
-/// [`check_sources`] with an incremental cache: unchanged files replay
-/// their facts and lexical violations; changed files re-lex, re-parse, and
-/// refresh their entries. The call graph and effect fixpoint always re-run
-/// over the full fact set.
-#[must_use]
-pub fn analyze_sources(sources: &[(String, String)], cache: &mut FactCache) -> Report {
     let mut facts = Vec::with_capacity(sources.len());
     let mut violations = Vec::new();
     let mut lines_scanned = 0usize;
     let mut allow_directives = 0usize;
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
 
     for (rel, text) in sources {
-        let fp = fingerprint(text);
-        if let Some(entry) = cache.lookup(rel, fp) {
-            cache_hits += 1;
-            lines_scanned += entry.lines;
-            allow_directives += entry.allow_count;
-            violations.extend(entry.violations());
-            facts.push(entry.facts.clone());
-            continue;
-        }
-        cache_misses += 1;
         let file = SourceFile::new(rel, text.clone());
-        let lines = file.line_starts.len();
-        let allows = file.allows.iter().filter(|a| a.well_formed).count();
-        let file_violations = rules::check_file(&file);
-        let file_facts = parser::extract(&file);
-        lines_scanned += lines;
-        allow_directives += allows;
-        cache.insert(rel, CacheEntry::new(fp, lines, allows, file_facts.clone(), &file_violations));
-        violations.extend(file_violations);
-        facts.push(file_facts);
+        lines_scanned += file.line_starts.len();
+        allow_directives += file.allows.iter().filter(|a| a.well_formed).count();
+        violations.extend(rules::check_file(&file));
+        facts.push(parser::extract(&file));
     }
 
     let graph = CallGraph::build(&facts);
@@ -174,57 +143,7 @@ pub fn analyze_sources(sources: &[(String, String)], cache: &mut FactCache) -> R
             resolved_calls: graph.resolved_calls,
             unresolved_calls: graph.unresolved_calls,
             fixpoint_iterations: analysis.iterations,
-            cache_hits,
-            cache_misses,
         },
-    }
-}
-
-/// Timing comparison between the legacy per-needle full-text rescans and
-/// the shared [`crate::source::TokenIndex`] pass (satellite of PR 8 —
-/// recorded in `BENCH_lint.json`). Lexing is excluded from both sides;
-/// index construction is charged to the indexed side.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ScanBench {
-    /// Wall time of one legacy pass (every needle rescans every file).
-    pub legacy_rescan_ms: f64,
-    /// Wall time of one indexed pass (build index once, query per needle).
-    pub indexed_ms: f64,
-    /// `legacy_rescan_ms / indexed_ms`.
-    pub speedup: f64,
-    /// Token hits found by both sides (must agree; sanity anchor).
-    pub hits: usize,
-}
-
-/// Measures [`ScanBench`] over pre-lexed sources.
-#[must_use]
-pub fn scan_benchmark(sources: &[(String, String)]) -> ScanBench {
-    let masked: Vec<String> = sources
-        .iter()
-        .map(|(rel, text)| SourceFile::new(rel, text.clone()).masked)
-        .collect();
-
-    let sw = crate::clock::Stopwatch::start();
-    let mut legacy_hits = 0usize;
-    for text in &masked {
-        legacy_hits += rules::legacy_needle_scan(text);
-    }
-    let legacy_rescan_ms = sw.elapsed_ms();
-
-    let sw = crate::clock::Stopwatch::start();
-    let mut indexed_hits = 0usize;
-    for text in &masked {
-        let index = crate::source::TokenIndex::build(text);
-        indexed_hits += rules::indexed_needle_scan(text, &index);
-    }
-    let indexed_ms = sw.elapsed_ms();
-
-    debug_assert_eq!(legacy_hits, indexed_hits);
-    ScanBench {
-        legacy_rescan_ms,
-        indexed_ms,
-        speedup: if indexed_ms > 0.0 { legacy_rescan_ms / indexed_ms } else { 0.0 },
-        hits: indexed_hits,
     }
 }
 
@@ -260,8 +179,7 @@ pub struct RuleCount {
     pub count: usize,
 }
 
-/// The `callgraph` block of the JSON payload: graph shape, fixpoint cost,
-/// and the cold/warm wall times the CI budget is asserted against.
+/// The `callgraph` block of the JSON payload: graph shape and fixpoint cost.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct CallgraphBlock {
     /// Fn definitions in the graph.
@@ -274,10 +192,6 @@ pub struct CallgraphBlock {
     pub unresolved_calls: usize,
     /// Fixpoint rounds until quiescence.
     pub fixpoint_iterations: usize,
-    /// Full analysis from an empty cache, milliseconds.
-    pub cold_wall_ms: f64,
-    /// Full analysis with every file cached, milliseconds.
-    pub warm_wall_ms: f64,
 }
 
 /// The machine-readable `--format json` payload (also `BENCH_lint.json`).
@@ -299,23 +213,18 @@ pub struct JsonReport {
     pub violations_by_rule: Vec<RuleCount>,
     /// Full violation list.
     pub violations: Vec<Violation>,
-    /// Wall time of the pass in milliseconds.
+    /// Wall time of the analysis in milliseconds (what `--max-ms` bounds).
     pub wall_ms: f64,
-    /// Call-graph / fixpoint statistics and cold/warm timings.
+    /// Call-graph / fixpoint statistics.
     pub callgraph: CallgraphBlock,
-    /// Legacy-rescan vs shared-index comparison (present with `--bench-out`).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub scan: Option<ScanBench>,
 }
 
 impl JsonReport {
     /// Assembles the JSON payload from a report and its measured wall time.
-    /// Cold/warm timings start out equal to `wall_ms`; `--bench-out` runs
-    /// overwrite them with dedicated measurements.
     #[must_use]
     pub fn new(report: &Report, wall_ms: f64) -> Self {
         Self {
-            version: 2,
+            version: 3,
             harness: "glimpse-lint",
             files_scanned: report.files_scanned,
             lines_scanned: report.lines_scanned,
@@ -334,10 +243,7 @@ impl JsonReport {
                 resolved_calls: report.graph.resolved_calls,
                 unresolved_calls: report.graph.unresolved_calls,
                 fixpoint_iterations: report.graph.fixpoint_iterations,
-                cold_wall_ms: wall_ms,
-                warm_wall_ms: wall_ms,
             },
-            scan: None,
         }
     }
 }

@@ -11,15 +11,17 @@
 //! ```text
 //! cargo run -p glimpse-lint -- check              # human-readable
 //! cargo run -p glimpse-lint -- check --format json
+//! cargo run -p glimpse-lint -- check --max-ms 500 # also fail on a slow pass
 //! cargo run -p glimpse-lint -- rules              # rule table
 //! ```
 //!
 //! The pass walks every `crates/*/src/**/*.rs` file with a small
 //! comment/string/raw-string-aware lexer (no `syn` in the vendored dep
 //! set), runs the rules in [`rules::RULES`], and reports violations with
-//! `file:line` spans. A violation can be suppressed for one statement with
-//! `// lint:allow(<RULE>) reason` — reasonless suppressions are themselves
-//! violations (rule `A0`).
+//! `file:line` spans. Every run analyses the whole workspace from source;
+//! nothing is cached between runs. A violation can be suppressed for one
+//! statement with `// lint:allow(<RULE>) reason` — reasonless suppressions
+//! are themselves violations (rule `A0`).
 //!
 //! The same engine runs as an in-tree test
 //! (`crates/lint/tests/workspace_clean.rs`), so reintroducing a
@@ -29,7 +31,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod callgraph;
 pub mod clock;
 pub mod effects;
@@ -39,8 +40,5 @@ pub mod parser;
 pub mod rules;
 pub mod source;
 
-pub use cache::FactCache;
-pub use engine::{
-    analyze_sources, check_sources, check_workspace, collect_workspace_sources, find_workspace_root, scan_benchmark, JsonReport, Report,
-};
+pub use engine::{check_sources, check_workspace, collect_workspace_sources, find_workspace_root, JsonReport, Report};
 pub use rules::{RuleInfo, Violation, RULES};

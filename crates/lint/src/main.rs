@@ -1,13 +1,11 @@
 //! CLI entry point: `glimpse-lint check [--root PATH] [--format human|json]
-//! [--bench-out PATH] [--changed-only] [--no-cache] [--cache PATH]
-//! [--max-warm-ms N]` and `glimpse-lint rules`.
+//! [--bench-out PATH] [--changed-only] [--max-ms N]` and `glimpse-lint rules`.
 //!
-//! Exit codes: `0` clean, `1` violations found (or the warm-time budget
+//! Exit codes: `0` clean, `1` violations found (or the `--max-ms` budget
 //! exceeded), `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use glimpse_lint::cache::FactCache;
 use glimpse_lint::clock::Stopwatch;
 use glimpse_lint::{engine, JsonReport, Report, RULES};
 use std::collections::BTreeSet;
@@ -19,15 +17,13 @@ glimpse-lint — workspace invariant analyzer
 
 USAGE:
     glimpse-lint check [--root PATH] [--format human|json] [--bench-out PATH]
-                       [--changed-only] [--no-cache] [--cache PATH] [--max-warm-ms N]
+                       [--changed-only] [--max-ms N]
     glimpse-lint rules
 
     --changed-only   report only violations whose span or witness chain touches
                      a file changed since the merge base (full scan outside git)
-    --no-cache       skip the incremental fact cache entirely
-    --cache PATH     cache location (default: <root>/target/glimpse-lint-cache.json)
-    --max-warm-ms N  with --bench-out: fail if the warm full-workspace analysis
-                     exceeds N milliseconds (the CI latency budget)
+    --max-ms N       fail if the full-workspace analysis exceeds N milliseconds
+                     (the CI latency budget)
 
 Rules are documented in DESIGN.md § Enforced invariants (#enforced-invariants).";
 
@@ -53,9 +49,7 @@ fn check(args: &[String]) -> ExitCode {
     let mut format = "human".to_owned();
     let mut bench_out: Option<PathBuf> = None;
     let mut changed_only = false;
-    let mut no_cache = false;
-    let mut cache_path: Option<PathBuf> = None;
-    let mut max_warm_ms: Option<f64> = None;
+    let mut max_ms: Option<f64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -63,12 +57,10 @@ fn check(args: &[String]) -> ExitCode {
             "--format" => format = it.next().cloned().unwrap_or_default(),
             "--bench-out" => bench_out = it.next().map(PathBuf::from),
             "--changed-only" => changed_only = true,
-            "--no-cache" => no_cache = true,
-            "--cache" => cache_path = it.next().map(PathBuf::from),
-            "--max-warm-ms" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => max_warm_ms = Some(v),
+            "--max-ms" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(v) => max_ms = Some(v),
                 None => {
-                    eprintln!("--max-warm-ms needs a number\n{USAGE}");
+                    eprintln!("--max-ms needs a number\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -95,25 +87,9 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    let cache_path = cache_path.unwrap_or_else(|| root.join("target/glimpse-lint-cache.json"));
-    let mut cache = if no_cache {
-        FactCache::empty()
-    } else {
-        FactCache::load(&cache_path)
-    };
-
     let stopwatch = Stopwatch::start();
-    let mut report = engine::analyze_sources(&sources, &mut cache);
+    let mut report = engine::check_sources(&sources);
     let wall_ms = stopwatch.elapsed_ms();
-
-    if !no_cache {
-        let live: BTreeSet<String> = sources.iter().map(|(rel, _)| rel.clone()).collect();
-        cache.retain_paths(&live);
-        if let Err(err) = cache.save(&cache_path) {
-            // Only costs the next run its warm start; never fails the check.
-            eprintln!("glimpse-lint: cache save to {} failed: {err}", cache_path.display());
-        }
-    }
 
     // The full workspace is always analyzed (a change in one file can
     // create a transitive violation reported in another); --changed-only
@@ -129,30 +105,15 @@ fn check(args: &[String]) -> ExitCode {
         }
     }
 
-    let mut budget_blown = false;
-    let mut json = JsonReport::new(&report, wall_ms);
-    if let Some(path) = &bench_out {
-        // Dedicated cold/warm measurements: a fresh cache, then a fully
-        // populated one — independent of whatever the disk cache held.
-        let mut fresh = FactCache::empty();
-        let sw = Stopwatch::start();
-        let _ = engine::analyze_sources(&sources, &mut fresh);
-        json.callgraph.cold_wall_ms = sw.elapsed_ms();
-        let sw = Stopwatch::start();
-        let _ = engine::analyze_sources(&sources, &mut fresh);
-        json.callgraph.warm_wall_ms = sw.elapsed_ms();
-        json.scan = Some(engine::scan_benchmark(&sources));
-
-        if let Some(budget) = max_warm_ms {
-            if json.callgraph.warm_wall_ms > budget {
-                eprintln!(
-                    "glimpse-lint: warm analysis took {:.1} ms, over the {budget:.0} ms budget",
-                    json.callgraph.warm_wall_ms
-                );
-                budget_blown = true;
-            }
+    let budget_blown = match max_ms {
+        Some(budget) if wall_ms > budget => {
+            eprintln!("glimpse-lint: analysis took {wall_ms:.1} ms, over the {budget:.0} ms budget");
+            true
         }
-
+        _ => false,
+    };
+    let json = JsonReport::new(&report, wall_ms);
+    if let Some(path) = &bench_out {
         let payload = serde_json::to_string_pretty(&json).unwrap_or_default() + "\n";
         if let Err(err) = glimpse_durable::atomic_write(path, payload.as_bytes()) {
             eprintln!("glimpse-lint: writing {} failed: {err}", path.display());
@@ -215,7 +176,7 @@ fn print_human(report: &Report, wall_ms: f64) {
     let rules: Vec<&str> = RULES.iter().map(|r| r.id).collect();
     if report.is_clean() {
         println!(
-            "glimpse-lint: OK — {} files, {} lines, 0 violations (rules {}, {} allow directives, {wall_ms:.1} ms; callgraph {} fns / {} edges, fixpoint x{}, cache {}/{} hot)",
+            "glimpse-lint: OK — {} files, {} lines, 0 violations (rules {}, {} allow directives, {wall_ms:.1} ms; callgraph {} fns / {} edges, fixpoint x{})",
             report.files_scanned,
             report.lines_scanned,
             rules.join(" "),
@@ -223,8 +184,6 @@ fn print_human(report: &Report, wall_ms: f64) {
             report.graph.fns,
             report.graph.edges,
             report.graph.fixpoint_iterations,
-            report.graph.cache_hits,
-            report.graph.cache_hits + report.graph.cache_misses,
         );
     } else {
         let by_rule = report.by_rule();

@@ -9,17 +9,14 @@
 //! sink to the fn whose body contains it, and to reconstruct the paths
 //! `use` declarations bring into scope. Closures are part of their
 //! enclosing fn's body, so captures handed to `parallel_map`/`anneal` are
-//! attributed to the fn that builds them. Facts serialize, which is what
-//! makes the incremental cache ([`crate::cache`]) possible: unchanged
-//! files replay their facts without re-lexing.
+//! attributed to the fn that builds them.
 
 use crate::effects::{self, EffectMask};
 use crate::lexer::is_ident_byte;
 use crate::source::SourceFile;
-use serde::{Deserialize, Serialize};
 
 /// One intrinsic effect source inside an fn body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SinkFact {
     /// Which lattice element the sink sets.
     pub effect: EffectMask,
@@ -30,7 +27,7 @@ pub struct SinkFact {
 }
 
 /// One call site inside an fn body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallFact {
     /// Path segments as written (`["codec", "decode_frame"]`, `["foo"]`,
     /// `["Wal", "append"]`). Leading `crate`/`self`/`super`/`Self`
@@ -43,7 +40,7 @@ pub struct CallFact {
 }
 
 /// One fn definition with everything attributed to its body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnFact {
     /// The fn's name.
     pub name: String,
@@ -69,7 +66,7 @@ pub struct FnFact {
 
 /// A well-formed `lint:allow` directive, kept in the facts so transitive
 /// violations reported at an fn definition can be suppressed there.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowFact {
     /// 1-based line of the directive.
     pub line: usize,
@@ -86,7 +83,7 @@ impl AllowFact {
 }
 
 /// Everything the interprocedural pass needs from one file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileFacts {
     /// Workspace-relative path.
     pub rel_path: String,

@@ -599,57 +599,6 @@ fn rule_u1(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// One legacy-style pass over `text`: every lexical-rule needle rescans
-/// the full masked text, exactly as the rules did before the shared
-/// [`crate::source::TokenIndex`]. Kept only as the baseline side of the
-/// scan benchmark; returns total hits so the comparison can assert parity.
-pub(crate) fn legacy_needle_scan(text: &str) -> usize {
-    let mut hits = 0usize;
-    for needle in D1_NEEDLES {
-        hits += find_token(text, needle).len();
-    }
-    for needle in ["HashMap", "HashSet"] {
-        hits += find_token(text, needle).len();
-    }
-    for needle in IO1_NEEDLES {
-        hits += find_token(text, needle).len();
-    }
-    for fan_out in ["parallel_map_range", "parallel_map_cancellable", "parallel_map"] {
-        hits += find_token(text, fan_out).len();
-    }
-    for needle in [".unwrap()", ".expect("] {
-        hits += find_substr(text, needle).len();
-    }
-    hits += find_token(text, "process::exit").len();
-    hits += find_token(text, "unsafe").len();
-    hits += find_token_prefix(text, "glimpse_").len();
-    hits
-}
-
-/// The same queries as [`legacy_needle_scan`], answered from a
-/// [`crate::source::TokenIndex`] — the benchmark's indexed side.
-pub(crate) fn indexed_needle_scan(text: &str, index: &crate::source::TokenIndex) -> usize {
-    let mut hits = 0usize;
-    for needle in D1_NEEDLES {
-        hits += index.find(text, needle).len();
-    }
-    for needle in ["HashMap", "HashSet"] {
-        hits += index.find(text, needle).len();
-    }
-    for needle in IO1_NEEDLES {
-        hits += index.find(text, needle).len();
-    }
-    for fan_out in ["parallel_map_range", "parallel_map_cancellable", "parallel_map"] {
-        hits += index.offsets(fan_out).len();
-    }
-    hits += index.find_method(text, "unwrap", "()").len();
-    hits += index.find_method(text, "expect", "(").len();
-    hits += index.find(text, "process::exit").len();
-    hits += index.offsets("unsafe").len();
-    hits += index.with_prefix("glimpse_").map(|(_, offs)| offs.len()).sum::<usize>();
-    hits
-}
-
 /// Byte offsets of `needle` in `text` where both ends sit on identifier
 /// boundaries (`Instant::now` matches, `my_thread_rng_helper` does not).
 fn find_token(text: &str, needle: &str) -> Vec<usize> {
@@ -662,16 +611,6 @@ fn find_token(text: &str, needle: &str) -> Vec<usize> {
             let after_ok = end >= bytes.len() || !crate::lexer::is_ident_byte(bytes[end]);
             before_ok && after_ok
         })
-        .collect()
-}
-
-/// Like [`find_token`] but only the *start* must be a boundary (for
-/// identifier prefixes such as `glimpse_`).
-fn find_token_prefix(text: &str, prefix: &str) -> Vec<usize> {
-    let bytes = text.as_bytes();
-    find_substr(text, prefix)
-        .into_iter()
-        .filter(|&at| at == 0 || !crate::lexer::is_ident_byte(bytes[at - 1]))
         .collect()
 }
 

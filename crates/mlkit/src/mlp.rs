@@ -122,12 +122,6 @@ impl Mlp {
         self.layers.last().expect("at least one layer").rows
     }
 
-    /// Total trainable parameter count.
-    #[must_use]
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
-
     /// Forward pass.
     ///
     /// # Panics
@@ -270,7 +264,6 @@ mod tests {
         let mlp = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
         assert_eq!(mlp.input_width(), 4);
         assert_eq!(mlp.output_width(), 3);
-        assert_eq!(mlp.parameter_count(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(mlp.predict(&[0.1, 0.2, 0.3, 0.4]).len(), 3);
     }
 

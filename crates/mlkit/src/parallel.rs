@@ -29,6 +29,7 @@
 //! the call site saying it knows better (tests pinning determinism at
 //! thread counts above the core count rely on this).
 
+use glimpse_supervise::CancelToken;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide worker-count override (0 = unset).
@@ -123,37 +124,15 @@ impl Default for Threads {
 /// let squares = parallel_map(Threads::fixed(4), &[1i64, 2, 3, 4, 5], |_, x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 /// ```
-// lint:boundary(PANICS) the scope join proves every worker wrote its slots; an empty slot after join is unreachable
 pub fn parallel_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = threads.resolve().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-    let f = &f;
-    let result = crossbeam::thread::scope(|s| {
-        for (w, out_chunk) in out.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            s.spawn(move |_| {
-                for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                    let i = start + offset;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    });
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
-    out.into_iter().map(|r| r.expect("worker filled its slot")).collect()
+    // Without a token the fan-out always completes, so this is never empty
+    // for a non-empty input.
+    fan_out(threads, None, items, f).unwrap_or_default()
 }
 
 /// Cancellable variant of [`parallel_map`]: `None` if `cancel` trips
@@ -182,35 +161,49 @@ where
 /// let cut = parallel_map_cancellable(Threads::fixed(2), &token, &[1i64, 2, 3], |_, x| x * x);
 /// assert_eq!(cut, None);
 /// ```
-// lint:boundary(PANICS) the scope join proves every surviving slot was written; cancellation discards the batch before the unwrap
-pub fn parallel_map_cancellable<T, R, F>(threads: Threads, cancel: &glimpse_supervise::CancelToken, items: &[T], f: F) -> Option<Vec<R>>
+pub fn parallel_map_cancellable<T, R, F>(threads: Threads, cancel: &CancelToken, items: &[T], f: F) -> Option<Vec<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    fan_out(threads, Some(cancel), items, f)
+}
+
+/// The chunked fan-out behind [`parallel_map`] and
+/// [`parallel_map_cancellable`]: `None` only if `cancel` is given and trips
+/// before the map completes.
+// lint:boundary(PANICS) the scope join proves every surviving slot was written; cancellation discards the batch before the unwrap
+fn fan_out<T, R, F>(threads: Threads, cancel: Option<&CancelToken>, items: &[T], f: F) -> Option<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let tripped = || cancel.is_some_and(CancelToken::is_cancelled);
     let n = items.len();
     let workers = threads.resolve().min(n.max(1));
     if workers <= 1 || n <= 1 {
         let mut out = Vec::with_capacity(n);
         for (i, t) in items.iter().enumerate() {
-            if cancel.is_cancelled() {
+            if tripped() {
                 return None;
             }
             out.push(f(i, t));
         }
-        return (!cancel.is_cancelled()).then_some(out);
+        return (!tripped()).then_some(out);
     }
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let chunk = n.div_ceil(workers);
     let f = &f;
+    let tripped = &tripped;
     let result = crossbeam::thread::scope(|s| {
         for (w, out_chunk) in out.chunks_mut(chunk).enumerate() {
             let start = w * chunk;
             s.spawn(move |_| {
                 for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                    if cancel.is_cancelled() {
+                    if tripped() {
                         break;
                     }
                     let i = start + offset;
@@ -222,7 +215,7 @@ where
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
     }
-    if cancel.is_cancelled() {
+    if tripped() {
         return None;
     }
     Some(out.into_iter().map(|r| r.expect("worker filled its slot")).collect())

@@ -15,15 +15,12 @@
 //! The same seed replays bit-identically at any `--threads` setting.
 //!
 //! **Allocation:** the chain loop proposes into a persistent scratch state
-//! and swaps it in on acceptance, so the `*_in_place` entry points run the
-//! whole trajectory with a constant number of state allocations (start,
-//! best, scratch) instead of one fresh state per step. The classic
-//! `Fn(&S, &mut StdRng) -> S` entry points are kept as thin wrappers whose
-//! results are bit-identical — the in-place move must fully overwrite the
-//! scratch state from the current one, which `*out = neighbor(current, rng)`
-//! trivially does.
+//! and swaps it in on acceptance, so a chain runs its whole trajectory with
+//! a constant number of state allocations (start, best, scratch) instead of
+//! one fresh state per step. The move `neighbor_into(current, out, rng)`
+//! must therefore fully overwrite `out` from `current`.
 
-use crate::parallel::{parallel_map, parallel_map_cancellable, Threads};
+use crate::parallel::{parallel_map_cancellable, Threads};
 use crate::stats::child_rng;
 use glimpse_supervise::CancelToken;
 use rand::rngs::StdRng;
@@ -79,20 +76,25 @@ impl<S: Clone> SaOutcome<S> {
 }
 
 /// Runs `params.chains` annealing chains maximizing `score`, fanned out
-/// across the worker threads of [`crate::parallel`].
+/// across the worker threads of [`crate::parallel`]: the hot-loop entry
+/// point for the tuners. `None` if `cancel` trips before the batch
+/// completes, `Some(outcome)` otherwise.
 ///
 /// # Examples
 ///
 /// ```
-/// use glimpse_mlkit::sa::{anneal, SaParams};
+/// use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+/// use glimpse_supervise::CancelToken;
 ///
-/// let out = anneal(
+/// let out = anneal_cancellable_in_place(
 ///     &[0i64],
 ///     |x| -((*x - 5) as f64).abs(),
-///     |x, r| x + if rand::Rng::gen::<bool>(r) { 1 } else { -1 },
+///     |x, out, r| *out = x + if rand::Rng::gen::<bool>(r) { 1 } else { -1 },
 ///     SaParams { chains: 4, max_steps: 200, ..SaParams::default() },
 ///     7,
-/// );
+///     &CancelToken::new(),
+/// )
+/// .expect("an untripped token never cancels");
 /// let (best, _) = &out.top_k(1)[0];
 /// assert!((best - 5).abs() <= 1);
 /// ```
@@ -101,79 +103,9 @@ impl<S: Clone> SaOutcome<S> {
 /// fewer starts than chains are given) and owns an RNG seed-split from
 /// `seed` by chain index, so the outcome is identical at every thread
 /// count. Acceptance follows Metropolis on the score difference with a
-/// geometric temperature schedule.
-///
-/// # Panics
-///
-/// Panics if `initial` is empty or temperatures are non-positive.
-pub fn anneal<S, F, N>(initial: &[S], score: F, neighbor: N, params: SaParams, seed: u64) -> SaOutcome<S>
-where
-    S: Clone + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut StdRng) -> S + Sync,
-{
-    anneal_threaded(initial, score, neighbor, params, seed, Threads::AUTO)
-}
-
-/// [`anneal`] with an explicit worker-count request (the public entry point
-/// resolves `--threads` / `GLIMPSE_THREADS` automatically).
-pub fn anneal_threaded<S, F, N>(initial: &[S], score: F, neighbor: N, params: SaParams, seed: u64, threads: Threads) -> SaOutcome<S>
-where
-    S: Clone + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut StdRng) -> S + Sync,
-{
-    anneal_threaded_in_place(initial, score, wrap_allocating(neighbor), params, seed, threads)
-}
-
-/// [`anneal`] with an in-place neighbor move: `neighbor_into(current, out,
-/// rng)` must fully overwrite `out` with the proposed state (any bytes left
-/// over from a previous proposal are stale). Runs each chain with a
-/// constant number of state allocations; results are bit-identical to the
-/// allocating entry points for the equivalent move.
-pub fn anneal_in_place<S, F, N>(initial: &[S], score: F, neighbor_into: N, params: SaParams, seed: u64) -> SaOutcome<S>
-where
-    S: Clone + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut S, &mut StdRng) + Sync,
-{
-    anneal_threaded_in_place(initial, score, neighbor_into, params, seed, Threads::AUTO)
-}
-
-/// [`anneal_in_place`] with an explicit worker-count request.
-pub fn anneal_threaded_in_place<S, F, N>(
-    initial: &[S],
-    score: F,
-    neighbor_into: N,
-    params: SaParams,
-    seed: u64,
-    threads: Threads,
-) -> SaOutcome<S>
-where
-    S: Clone + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut S, &mut StdRng) + Sync,
-{
-    assert!(!initial.is_empty(), "need at least one starting state");
-    assert!(params.t_start > 0.0 && params.t_end > 0.0, "temperatures must be positive");
-    let chains = params.chains.max(1);
-    let results = parallel_map(threads, &chain_indices(chains), |_, &c| {
-        run_chain(&initial[c % initial.len()], c, &score, &neighbor_into, &params, seed, None)
-    });
-    collect_outcome(results, chains)
-}
-
-/// Adapts a classic allocating move to the in-place interface.
-fn wrap_allocating<S, N>(neighbor: N) -> impl Fn(&S, &mut S, &mut StdRng)
-where
-    N: Fn(&S, &mut StdRng) -> S,
-{
-    move |current: &S, out: &mut S, rng: &mut StdRng| *out = neighbor(current, rng)
-}
-
-/// Cancellable [`anneal`]: `None` if `cancel` trips before the batch
-/// completes, `Some(outcome)` otherwise — the outcome is then bit-identical
-/// to the uninterrupted [`anneal`] call.
+/// geometric temperature schedule. `neighbor_into(current, out, rng)` must
+/// fully overwrite `out` with the proposed state (any bytes left over from
+/// a previous proposal are stale).
 ///
 /// The SA round is the cancellation unit: chains poll the token between
 /// update steps and bail early once it trips, but a cut-short batch is
@@ -181,24 +113,10 @@ where
 /// searching now" — the enclosing tuning loop drains at its own trial
 /// boundary, so a cancelled run's journal stays a byte-identical prefix of
 /// the uninterrupted run's.
-pub fn anneal_cancellable<S, F, N>(
-    initial: &[S],
-    score: F,
-    neighbor: N,
-    params: SaParams,
-    seed: u64,
-    cancel: &CancelToken,
-) -> Option<SaOutcome<S>>
-where
-    S: Clone + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut StdRng) -> S + Sync,
-{
-    anneal_cancellable_in_place(initial, score, wrap_allocating(neighbor), params, seed, cancel)
-}
-
-/// Cancellable [`anneal_in_place`]: the hot-loop entry point for the tuners
-/// — in-place moves and per-round cancellation in one call.
+///
+/// # Panics
+///
+/// Panics if `initial` is empty or temperatures are non-positive.
 pub fn anneal_cancellable_in_place<S, F, N>(
     initial: &[S],
     score: F,
@@ -212,10 +130,46 @@ where
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut S, &mut StdRng) + Sync,
 {
+    drive(initial, score, neighbor_into, params, seed, Threads::AUTO, cancel)
+}
+
+/// [`anneal_cancellable_in_place`] without a token and with an explicit
+/// worker-count request, for tests and benchmarks that pin the thread
+/// count. The outcome is bit-identical at every `threads` value.
+pub fn anneal_threaded_in_place<S, F, N>(
+    initial: &[S],
+    score: F,
+    neighbor_into: N,
+    params: SaParams,
+    seed: u64,
+    threads: Threads,
+) -> SaOutcome<S>
+where
+    S: Clone + Send + Sync,
+    F: Fn(&S) -> f64 + Sync,
+    N: Fn(&S, &mut S, &mut StdRng) + Sync,
+{
+    drive(initial, score, neighbor_into, params, seed, threads, &CancelToken::new()).expect("a fresh token never trips")
+}
+
+fn drive<S, F, N>(
+    initial: &[S],
+    score: F,
+    neighbor_into: N,
+    params: SaParams,
+    seed: u64,
+    threads: Threads,
+    cancel: &CancelToken,
+) -> Option<SaOutcome<S>>
+where
+    S: Clone + Send + Sync,
+    F: Fn(&S) -> f64 + Sync,
+    N: Fn(&S, &mut S, &mut StdRng) + Sync,
+{
     assert!(!initial.is_empty(), "need at least one starting state");
     assert!(params.t_start > 0.0 && params.t_end > 0.0, "temperatures must be positive");
     let chains = params.chains.max(1);
-    let results = parallel_map_cancellable(Threads::AUTO, cancel, &chain_indices(chains), |_, &c| {
+    let results = parallel_map_cancellable(threads, cancel, &chain_indices(chains), |_, &c| {
         run_chain(&initial[c % initial.len()], c, &score, &neighbor_into, &params, seed, Some(cancel))
     })?;
     Some(collect_outcome(results, chains))
@@ -320,9 +274,13 @@ mod tests {
         -((xf - 37.0) / 10.0).powi(2) + 0.5 * (xf / 7.0).sin()
     }
 
-    fn neighbor(x: &i64, rng: &mut StdRng) -> i64 {
+    fn neighbor_into(x: &i64, out: &mut i64, rng: &mut StdRng) {
         use rand::Rng;
-        (x + rng.gen_range(-5i64..=5)).clamp(0, 100)
+        *out = (x + rng.gen_range(-5i64..=5)).clamp(0, 100);
+    }
+
+    fn anneal(starts: &[i64], params: SaParams, seed: u64) -> SaOutcome<i64> {
+        anneal_threaded_in_place(starts, score, neighbor_into, params, seed, Threads::AUTO)
     }
 
     #[test]
@@ -330,8 +288,6 @@ mod tests {
         let starts: Vec<i64> = (0..8).map(|i| i * 12).collect();
         let out = anneal(
             &starts,
-            score,
-            neighbor,
             SaParams {
                 chains: 8,
                 max_steps: 300,
@@ -347,8 +303,6 @@ mod tests {
     fn step_count_is_bounded_by_budget() {
         let out = anneal(
             &[50i64],
-            score,
-            neighbor,
             SaParams {
                 chains: 4,
                 max_steps: 100,
@@ -368,8 +322,8 @@ mod tests {
             patience: 0,
             ..SaParams::default()
         };
-        let full = anneal(&[37i64], score, neighbor, params, 3);
-        let early = anneal(&[37i64], score, neighbor, SaParams { patience: 25, ..params }, 3);
+        let full = anneal(&[37i64], params, 3);
+        let early = anneal(&[37i64], SaParams { patience: 25, ..params }, 3);
         assert!(early.steps_executed < full.steps_executed);
     }
 
@@ -378,8 +332,6 @@ mod tests {
         let starts: Vec<i64> = (0..16).map(|i| i * 6).collect();
         let out = anneal(
             &starts,
-            score,
-            neighbor,
             SaParams {
                 chains: 16,
                 max_steps: 50,
@@ -398,8 +350,6 @@ mod tests {
         let run = || {
             anneal(
                 &[0i64],
-                score,
-                neighbor,
                 SaParams {
                     chains: 2,
                     max_steps: 100,
@@ -418,8 +368,6 @@ mod tests {
         let starts = vec![0i64, 100];
         let out = anneal(
             &starts,
-            score,
-            neighbor,
             SaParams {
                 chains: 2,
                 max_steps: 100,
@@ -442,44 +390,11 @@ mod tests {
             max_steps: 120,
             ..SaParams::default()
         };
-        let batch = anneal(&starts, score, neighbor, params, 9);
-        let neighbor_into = wrap_allocating(neighbor);
+        let batch = anneal(&starts, params, 9);
         for (c, expected) in batch.chain_bests.iter().enumerate() {
             let (solo, _) = run_chain(&starts[c], c, &score, &neighbor_into, &params, 9, None);
             assert_eq!(&solo, expected, "chain {c} diverged from its solo replay");
         }
-    }
-
-    #[test]
-    fn in_place_moves_match_allocating_moves_bitwise() {
-        // The scratch-buffer hot loop and the classic allocating interface
-        // must produce identical batches: same RNG draws, same swaps.
-        let starts: Vec<i64> = (0..5).map(|i| i * 17).collect();
-        let params = SaParams {
-            chains: 7,
-            max_steps: 150,
-            patience: 20,
-            ..SaParams::default()
-        };
-        let allocating = anneal(&starts, score, neighbor, params, 21);
-        let in_place = anneal_in_place(
-            &starts,
-            score,
-            |x: &i64, out: &mut i64, rng: &mut StdRng| *out = neighbor(x, rng),
-            params,
-            21,
-        );
-        assert!(bests_equal(&allocating, &in_place));
-        let cancellable = anneal_cancellable_in_place(
-            &starts,
-            score,
-            |x: &i64, out: &mut i64, rng: &mut StdRng| *out = neighbor(x, rng),
-            params,
-            21,
-            &CancelToken::new(),
-        )
-        .expect("untripped token must not cancel");
-        assert!(bests_equal(&allocating, &cancellable));
     }
 
     fn bests_equal(a: &SaOutcome<i64>, b: &SaOutcome<i64>) -> bool {
@@ -500,16 +415,15 @@ mod tests {
         fn identical_at_any_thread_count_and_order(seed in 0u64..1_000_000, chains in 1usize..12, max_steps in 1usize..60) {
             let starts: Vec<i64> = (0..4).map(|i| i * 25).collect();
             let params = SaParams { chains, max_steps, ..SaParams::default() };
-            let reference = anneal_threaded(&starts, score, neighbor, params, seed, Threads::fixed(1));
+            let reference = anneal_threaded_in_place(&starts, score, neighbor_into, params, seed, Threads::fixed(1));
             for threads in [2usize, 8] {
-                let out = anneal_threaded(&starts, score, neighbor, params, seed, Threads::fixed(threads));
+                let out = anneal_threaded_in_place(&starts, score, neighbor_into, params, seed, Threads::fixed(threads));
                 prop_assert!(bests_equal(&reference, &out), "threads={threads}");
             }
             // Execute chains in reverse order, sequentially, and scatter
             // the results back: must reproduce the batch exactly.
             let mut permuted: Vec<Option<(i64, f64)>> = vec![None; chains];
             let mut steps = 0usize;
-            let neighbor_into = wrap_allocating(neighbor);
             for c in (0..chains).rev() {
                 let (best, s) = run_chain(&starts[c % starts.len()], c, &score, &neighbor_into, &params, seed, None);
                 permuted[c] = Some(best);
@@ -525,25 +439,24 @@ mod tests {
 
     #[test]
     fn cancellable_anneal_matches_plain_anneal_when_untripped() {
-        use glimpse_supervise::CancelToken;
         let starts: Vec<i64> = (0..4).map(|i| i * 25).collect();
         let params = SaParams {
             chains: 6,
             max_steps: 80,
             ..SaParams::default()
         };
-        let plain = anneal(&starts, score, neighbor, params, 13);
-        let cancellable = anneal_cancellable(&starts, score, neighbor, params, 13, &CancelToken::new())
+        let plain = anneal(&starts, params, 13);
+        let cancellable = anneal_cancellable_in_place(&starts, score, neighbor_into, params, 13, &CancelToken::new())
             .expect("untripped token must not cancel the batch");
         assert!(bests_equal(&plain, &cancellable));
     }
 
     #[test]
     fn tripped_token_discards_the_whole_batch() {
-        use glimpse_supervise::{CancelReason, CancelToken};
+        use glimpse_supervise::CancelReason;
         let pre = CancelToken::new();
         pre.cancel(CancelReason::Interrupted);
-        assert!(anneal_cancellable(&[0i64], score, neighbor, SaParams::default(), 1, &pre).is_none());
+        assert!(anneal_cancellable_in_place(&[0i64], score, neighbor_into, SaParams::default(), 1, &pre).is_none());
         // Trip from inside the score function: chains bail early and the
         // cut-short batch is never returned.
         let mid = CancelToken::new();
@@ -559,7 +472,7 @@ mod tests {
             max_steps: 400,
             ..SaParams::default()
         };
-        assert!(anneal_cancellable(&[0i64], tripping_score, neighbor, params, 2, &mid).is_none());
+        assert!(anneal_cancellable_in_place(&[0i64], tripping_score, neighbor_into, params, 2, &mid).is_none());
     }
 
     #[test]

@@ -300,14 +300,6 @@ impl FaultPlan {
         }
     }
 
-    /// Arms the artifact-fault triggers (chaos tests; see
-    /// [`ArtifactFaults`]).
-    #[must_use]
-    pub fn with_artifact_faults(mut self, artifact: ArtifactFaults) -> Self {
-        self.artifact = Some(artifact);
-        self
-    }
-
     /// Artifact-fault triggers in effect (defaults to none armed).
     #[must_use]
     pub fn artifact_faults(&self) -> ArtifactFaults {
@@ -584,9 +576,8 @@ impl FaultInjector {
         None
     }
 
-    /// Clears the transient-loss window and revives a dead device. Only
-    /// the pool's re-admission probe uses this; faults keep firing per the
-    /// rates afterwards.
+    /// Clears the transient-loss window and revives a dead device; faults
+    /// keep firing per the rates afterwards.
     pub fn revive(&mut self) {
         self.dead = false;
         self.lost_remaining = 0;

@@ -229,21 +229,6 @@ impl PerfModel {
         }
     }
 
-    /// Estimated energy (joules) of one kernel execution: board power
-    /// scaled by how compute-saturated the kernel is. Memory-bound or
-    /// poorly occupied kernels draw closer to the ~35 % idle/static floor
-    /// typical of these boards; fully compute-bound kernels approach TDP.
-    #[must_use]
-    pub fn energy_j(&self, breakdown: &LatencyBreakdown) -> f64 {
-        let total = breakdown.total_s();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let compute_saturation = (breakdown.compute_s / total).clamp(0.0, 1.0) * breakdown.occupancy;
-        let power_w = self.gpu.tdp_w * (0.35 + 0.65 * compute_saturation);
-        power_w * total
-    }
-
     /// Noise-free latency (seconds) of `config` in `space`, or `None` if the
     /// configuration is invalid on this GPU.
     #[must_use]
@@ -400,24 +385,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let c = space.sample_uniform(&mut rng);
         assert_eq!(model.latency_s(&space, &c), model.latency_s(&space, &c));
-    }
-
-    #[test]
-    fn energy_scales_with_latency_and_saturation() {
-        let model = PerfModel::new(database::find("RTX 2080 Ti").unwrap().clone());
-        let space = conv_space();
-        let (cfg, _) = best_of(&model, &space, 1000, 21);
-        let shape = space.kernel_shape(&cfg);
-        let b = model.breakdown(
-            space.template(),
-            space.op().effective_flops(space.template()),
-            space.op().compulsory_bytes(),
-            &shape,
-        );
-        let e = model.energy_j(&b);
-        assert!(e > 0.0 && e.is_finite());
-        // Energy is bounded by TDP x latency and above the static floor.
-        assert!(e <= model.gpu().tdp_w * b.total_s() * 1.0001);
-        assert!(e >= 0.35 * model.gpu().tdp_w * b.total_s() * 0.9999);
     }
 }

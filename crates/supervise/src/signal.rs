@@ -32,11 +32,6 @@ pub fn token() -> Option<CancelToken> {
     TOKEN.get().cloned()
 }
 
-/// How many shutdown signals have been received.
-pub fn signals_received() -> u32 {
-    SIGNALS.load(Ordering::Acquire)
-}
-
 /// Installs SIGINT/SIGTERM handlers and returns the process-wide token
 /// they trip. Idempotent; later calls return the same token.
 pub fn install() -> CancelToken {

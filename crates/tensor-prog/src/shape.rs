@@ -80,24 +80,6 @@ pub fn chainable(first: &OpSpec, second: &OpSpec) -> bool {
     }
 }
 
-/// Checks that a layer list forms a plausible feed-forward chain: every
-/// consecutive pair is [`chainable`]. Returns the first offending index.
-///
-/// # Errors
-///
-/// Returns `Err(i)` when layer `i+1` cannot consume layer `i`'s output.
-pub fn validate_chain(layers: &[OpSpec]) -> Result<(), usize> {
-    for (i, pair) in layers.windows(2).enumerate() {
-        // Expand convs only; parallel branches (e.g. fire modules, residual
-        // blocks) legitimately repeat inputs, so only flag hard channel
-        // mismatches where *neither* interpretation fits.
-        if !chainable(&pair[0], &pair[1]) && !chainable(&pair[0], &pair[0]) && i > 0 {
-            return Err(i);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
