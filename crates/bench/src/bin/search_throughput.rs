@@ -6,13 +6,17 @@
 //! the outputs are bit-identical across worker counts / at every
 //! scratch-refit boundary.
 //!
-//! Emits `BENCH_search_throughput.json` so future PRs have a perf
+//! Emits `BENCH_search_throughput.json` so future changes have a perf
 //! trajectory to regress against. The `split_search` block additionally
-//! records the *algorithmic* speedup of the prefix-sum split search over
+//! records the *algorithmic* speedup of the presorted split search over
 //! the original two-pass scan, and the `surrogate_fit` block the
 //! *algorithmic* speedup of incremental boosting over per-round scratch
 //! refits — both hold even on single-core hosts where thread scaling
-//! cannot show. The `threads` block records requested vs effective worker
+//! cannot show. The `small_fit` and `mlp_step` blocks time the two kernels
+//! of Glimpse's offline meta-training (the acquisition's throwaway
+//! surrogates and an Adam step of its network) and check their outputs
+//! against digests pinned from the per-node-sort tree builder and the
+//! two-forward trainer they replaced. The `threads` block records requested vs effective worker
 //! counts: auto-resolved requests are clamped to available parallelism,
 //! explicit `Threads::fixed` pins are not.
 //!
@@ -20,9 +24,11 @@
 //! search_throughput [--quick] [--out <path>]
 //! ```
 
+use glimpse_durable::crc32;
 use glimpse_gpu_spec::database;
-use glimpse_mlkit::gbt::{prefix_sum_best_split, two_pass_best_split, Gbt, GbtParams};
+use glimpse_mlkit::gbt::{presorted_root_splits, two_pass_best_split, Gbt, GbtParams};
 use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
+use glimpse_mlkit::mlp::{Activation, Mlp};
 use glimpse_mlkit::parallel::{available_workers, set_default_threads, Threads};
 use glimpse_mlkit::sa::{anneal_threaded_in_place, SaParams};
 use glimpse_sim::Measurer;
@@ -63,6 +69,13 @@ fn time_once<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let r = f();
     (start.elapsed().as_secs_f64(), r)
 }
+
+/// CRC32 of the `small_fit` fixture's predictions, as the per-node-sort
+/// tree builder produced them.
+const SMALL_FIT_DIGEST: u32 = 0xe0bb_dbe8;
+/// CRC32 of the `mlp_step` fixture's serialized network after its steps,
+/// as the two-forward trainer produced it.
+const MLP_STEP_DIGEST: u32 = 0x1b10_09e3;
 
 fn multi_workers() -> usize {
     available_workers().max(4)
@@ -160,17 +173,74 @@ fn main() {
     let (two_pass_s, ref_splits) = time_best_of(reps, || {
         (0..width).map(|f| two_pass_best_split(&gxs, &gys, &indices, f)).collect::<Vec<_>>()
     });
-    let (prefix_s, new_splits) = time_best_of(reps, || {
-        (0..width)
-            .map(|f| prefix_sum_best_split(&gxs, &gys, &indices, f))
-            .collect::<Vec<_>>()
-    });
+    let (presorted_s, new_splits) = time_best_of(reps, || presorted_root_splits(&gxs, &gys));
     let splits_agree = ref_splits.iter().zip(&new_splits).all(|(a, b)| match (a, b) {
         (Some((ta, _)), Some((tb, _))) => ta.to_bits() == tb.to_bits(),
         (None, None) => true,
         _ => false,
     });
-    assert!(splits_agree, "prefix-sum split disagreed with the two-pass reference");
+    assert!(splits_agree, "presorted split disagreed with the two-pass reference");
+
+    // --- Meta-training kernels -------------------------------------------
+    // The acquisition's throwaway surrogate: 25 trees on 30 rows × 28
+    // features, half duplicate-heavy integer columns, half continuous.
+    let (small_rows, small_width, small_fits) = (30, 28, 100);
+    let mut srng = StdRng::seed_from_u64(13);
+    let sxs: Vec<Vec<f64>> = (0..small_rows)
+        .map(|_| {
+            (0..small_width)
+                .map(|f| {
+                    if f % 2 == 0 {
+                        f64::from(srng.gen_range(0..4u32))
+                    } else {
+                        srng.gen_range(0.0..1.0)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let sys: Vec<f64> = sxs.iter().map(|x| x[0] * x[1] + x[2] - 0.5 * x[5] + x[10] * x[11]).collect();
+    let small_params = GbtParams {
+        trees: 25,
+        ..GbtParams::default()
+    };
+    let (small_s, small_bits) = time_best_of(reps, || {
+        (0..small_fits as u64)
+            .flat_map(|seed| {
+                let model = Gbt::fit(&sxs, &sys, small_params, &mut StdRng::seed_from_u64(seed));
+                sxs.iter().map(move |x| model.predict(x).to_bits())
+            })
+            .collect::<Vec<u64>>()
+    });
+    let small_digest = crc32(&small_bits.iter().flat_map(|b| b.to_le_bytes()).collect::<Vec<u8>>());
+    let small_identical = small_digest == SMALL_FIT_DIGEST;
+    assert!(
+        small_identical,
+        "small GBT fits diverged from the per-node-sort builder: crc32 {small_digest:#010x}"
+    );
+
+    // One Adam step of the acquisition network ([38, 48, 48, 1], ReLU) on
+    // a 64-row mini-batch, its meta-training shape.
+    let (mlp_steps, mlp_batch) = (200, 64);
+    let mut mrng = StdRng::seed_from_u64(17);
+    let mxs: Vec<Vec<f64>> = (0..mlp_batch)
+        .map(|_| (0..38).map(|_| mrng.gen_range(-1.0..1.0)).collect())
+        .collect();
+    let mys: Vec<Vec<f64>> = mxs.iter().map(|x| vec![x[0] * x[1] - x[2] + 0.3 * x[37]]).collect();
+    let fresh = Mlp::new(&[38, 48, 48, 1], Activation::Relu, &mut mrng);
+    let (mlp_s, trained) = time_best_of(reps, || {
+        let mut mlp = fresh.clone();
+        for _ in 0..mlp_steps {
+            mlp.train_mse(&mxs, &mys, 3e-3);
+        }
+        mlp
+    });
+    let mlp_digest = crc32(serde_json::to_string(&trained).expect("serializable network").as_bytes());
+    let mlp_identical = mlp_digest == MLP_STEP_DIGEST;
+    assert!(
+        mlp_identical,
+        "MLP training diverged from the two-forward trainer: crc32 {mlp_digest:#010x}"
+    );
 
     // --- GP fit (kernel matrix assembly dominates) ----------------------
     let gp_rows = if quick { 80 } else { 200 };
@@ -305,10 +375,27 @@ fn main() {
             "identical": gbt_identical,
             "split_search": {
                 "two_pass_ms": two_pass_s * 1e3,
-                "prefix_sum_ms": prefix_s * 1e3,
-                "algorithmic_speedup": two_pass_s / prefix_s,
+                "presorted_ms": presorted_s * 1e3,
+                "algorithmic_speedup": two_pass_s / presorted_s,
                 "identical": splits_agree,
             },
+        },
+        "small_fit": {
+            "rows": small_rows,
+            "features": small_width,
+            "trees": small_params.trees,
+            "fits": small_fits,
+            "fit_ms": small_s * 1e3 / small_fits as f64,
+            "digest": format!("{small_digest:#010x}"),
+            "identical": small_identical,
+        },
+        "mlp_step": {
+            "widths": [38, 48, 48, 1],
+            "batch": mlp_batch,
+            "steps": mlp_steps,
+            "step_us": mlp_s * 1e6 / f64::from(mlp_steps),
+            "digest": format!("{mlp_digest:#010x}"),
+            "identical": mlp_identical,
         },
         "gp_fit": {
             "rows": gp_rows,

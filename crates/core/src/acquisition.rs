@@ -21,7 +21,7 @@
 //! surrogate, which is why they converge in fewer steps on unseen GPUs.
 
 use crate::blueprint::Blueprint;
-use crate::corpus::CorpusEntry;
+use crate::corpus::{CorpusEntry, CorpusSample};
 use glimpse_mlkit::gbt::{Gbt, GbtParams};
 use glimpse_mlkit::mlp::{Activation, Mlp};
 use glimpse_mlkit::parallel::{parallel_map, Threads};
@@ -80,7 +80,8 @@ impl NeuralAcquisition {
         self.score_features(&features, mu_gflops, t_frac, blueprint)
     }
 
-    /// Acquisition score from pre-computed (padded) features.
+    /// Acquisition score from pre-computed configuration features (zero-
+    /// padded to [`PADDED_FEATURES`] here, so padding them first is optional).
     #[must_use]
     pub fn score_features(&self, features: &[f64], mu_gflops: f64, t_frac: f64, blueprint: &Blueprint) -> f64 {
         self.mlp.predict(&self.input(features, mu_gflops, t_frac, blueprint))[0] * SCALE
@@ -94,41 +95,17 @@ impl NeuralAcquisition {
         F: Fn(&str) -> Option<Blueprint>,
     {
         let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut ys: Vec<Vec<f64>> = Vec::new();
+        let mut ys: Vec<[f64; 1]> = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for entry in entries {
-            if entry.task.template != self.template {
+            let Some(snapshot) = self.snapshot(entry, &encode, prefix, &mut rng) else {
                 continue;
-            }
-            let Some(blueprint) = encode(&entry.gpu) else { continue };
-            if entry.samples.len() <= prefix + 8 {
-                continue;
-            }
-            let space = entry.space();
-            // Mid-tuning surrogate on the prefix. Featurization of both the
-            // prefix and the held-out tail fans out across workers; the
-            // RNG-consuming row assembly below stays sequential so training
-            // is identical at any thread count.
-            let train_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, &entry.samples[..prefix], |_, s| space.features(&s.config));
-            let train_y: Vec<f64> = entry.samples[..prefix].iter().map(|s| s.gflops / SCALE).collect();
-            let surrogate = Gbt::fit(
-                &train_x,
-                &train_y,
-                GbtParams {
-                    trees: 25,
-                    ..GbtParams::default()
-                },
-                &mut rng,
-            );
+            };
             // Remaining samples at random progress points become rows.
-            let tail = &entry.samples[prefix..];
-            let padded: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features_padded(&s.config, PADDED_FEATURES));
-            let tail_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features(&s.config));
-            let mus = surrogate.predict_batch(&tail_x);
-            for ((sample, features), mu) in tail.iter().zip(&padded).zip(mus) {
+            for ((sample, features), mu) in snapshot.tail.iter().zip(&snapshot.features).zip(&snapshot.mus) {
                 let t_frac: f64 = rng.gen_range(0.0..1.0);
-                xs.push(self.input(features, mu * SCALE, t_frac, &blueprint));
-                ys.push(vec![sample.gflops / SCALE]);
+                xs.push(self.input(features, mu * SCALE, t_frac, &snapshot.blueprint));
+                ys.push([sample.gflops / SCALE]);
             }
         }
         if xs.is_empty() {
@@ -142,15 +119,11 @@ impl NeuralAcquisition {
                 order.swap(i, rng.gen_range(0..=i));
             }
             for chunk in order.chunks(batch) {
-                let bx: Vec<Vec<f64>> = chunk.iter().map(|&i| xs[i].clone()).collect();
-                let by: Vec<Vec<f64>> = chunk.iter().map(|&i| ys[i].clone()).collect();
-                self.train_mse_raw(&bx, &by, lr);
+                let bx: Vec<&[f64]> = chunk.iter().map(|&i| xs[i].as_slice()).collect();
+                let by: Vec<&[f64]> = chunk.iter().map(|&i| ys[i].as_slice()).collect();
+                self.mlp.train_mse(&bx, &by, lr);
             }
         }
-    }
-
-    fn train_mse_raw(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) {
-        self.mlp.train_mse(xs, ys, lr);
     }
 
     /// Mean absolute error (GFLOPS) of the acquisition as a performance
@@ -164,36 +137,69 @@ impl NeuralAcquisition {
         let mut total = 0.0;
         let mut count = 0usize;
         for entry in entries {
-            if entry.task.template != self.template {
+            let Some(snapshot) = self.snapshot(entry, &encode, prefix, &mut rng) else {
                 continue;
-            }
-            let Some(blueprint) = encode(&entry.gpu) else { continue };
-            if entry.samples.len() <= prefix + 8 {
-                continue;
-            }
-            let space = entry.space();
-            let train_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, &entry.samples[..prefix], |_, s| space.features(&s.config));
-            let train_y: Vec<f64> = entry.samples[..prefix].iter().map(|s| s.gflops / SCALE).collect();
-            let surrogate = Gbt::fit(
-                &train_x,
-                &train_y,
-                GbtParams {
-                    trees: 25,
-                    ..GbtParams::default()
-                },
-                &mut rng,
-            );
-            let tail = &entry.samples[prefix..];
-            let tail_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features(&s.config));
-            let mus = surrogate.predict_batch(&tail_x);
-            for (sample, mu) in tail.iter().zip(mus) {
-                let pred = self.score(&space, &sample.config, mu * SCALE, 0.5, &blueprint);
+            };
+            for ((sample, features), mu) in snapshot.tail.iter().zip(&snapshot.features).zip(&snapshot.mus) {
+                let pred = self.score_features(features, mu * SCALE, 0.5, &snapshot.blueprint);
                 total += (pred - sample.gflops).abs();
                 count += 1;
             }
         }
         total / count.max(1) as f64
     }
+
+    /// The mid-tuning state of one corpus entry: a throwaway surrogate
+    /// fitted on its first `prefix` samples (what a tuner would know
+    /// mid-run) predicts the held-out tail. `None` for entries of another
+    /// template, of a GPU `encode` does not know, or too short to split.
+    ///
+    /// Featurization fans out across workers; the surrogate fit is the only
+    /// `rng` draw, so callers' RNG-consuming row assembly stays sequential
+    /// and training is identical at any thread count.
+    fn snapshot<'a, F>(&self, entry: &'a CorpusEntry, encode: &F, prefix: usize, rng: &mut StdRng) -> Option<Snapshot<'a>>
+    where
+        F: Fn(&str) -> Option<Blueprint>,
+    {
+        if entry.task.template != self.template {
+            return None;
+        }
+        let blueprint = encode(&entry.gpu)?;
+        if entry.samples.len() <= prefix + 8 {
+            return None;
+        }
+        let space = entry.space();
+        let train_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, &entry.samples[..prefix], |_, s| space.features(&s.config));
+        let train_y: Vec<f64> = entry.samples[..prefix].iter().map(|s| s.gflops / SCALE).collect();
+        let surrogate = Gbt::fit(
+            &train_x,
+            &train_y,
+            GbtParams {
+                trees: 25,
+                ..GbtParams::default()
+            },
+            rng,
+        );
+        let tail = &entry.samples[prefix..];
+        let features: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features(&s.config));
+        let mus = surrogate.predict_batch(&features);
+        Some(Snapshot {
+            blueprint,
+            tail,
+            features,
+            mus,
+        })
+    }
+}
+
+/// One corpus entry's held-out tail with its unpadded configuration
+/// features and mid-tuning surrogate predictions (see
+/// [`NeuralAcquisition::snapshot`]).
+struct Snapshot<'a> {
+    blueprint: Blueprint,
+    tail: &'a [CorpusSample],
+    features: Vec<Vec<f64>>,
+    mus: Vec<f64>,
 }
 
 #[cfg(test)]

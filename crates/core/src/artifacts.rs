@@ -325,6 +325,16 @@ mod tests {
     }
 
     #[test]
+    fn bundle_bytes_are_pinned() {
+        // CRC32 of the serialized fast-preset bundle. Any change to corpus
+        // generation, the codec, GBT or MLP training that moves a single
+        // output bit moves this value.
+        const PINNED: u32 = 0xd39b_d733;
+        let crc = glimpse_durable::crc32(serde_json::to_string(&small_artifacts()).unwrap().as_bytes());
+        assert_eq!(crc, PINNED, "crc32 {crc:#010x}");
+    }
+
+    #[test]
     fn training_is_deterministic() {
         let a = small_artifacts();
         let b = small_artifacts();

@@ -411,22 +411,15 @@ impl PriorNet {
         if xs.is_empty() {
             return Ok(());
         }
+        let layout = &self.layout;
         for _ in 0..epochs {
-            let grads: Vec<Vec<f64>> = xs
-                .iter()
-                .zip(&targets)
-                .map(|(x, target)| {
-                    let probs = self.layout.head_probs(&self.mlp.predict(x));
-                    let mut grad = Vec::with_capacity(self.layout.output_width());
-                    for (p, t) in probs.iter().zip(target) {
-                        for (pi, ti) in p.iter().zip(t) {
-                            grad.push((pi - ti) / xs.len() as f64);
-                        }
-                    }
-                    grad
-                })
-                .collect();
-            self.mlp.train_with_output_grads(&xs, &grads, lr);
+            self.mlp.train_step(&xs, lr, |sample, logits, grad| {
+                let probs = layout.head_probs(logits);
+                let targets = probs.iter().zip(&targets[sample]).flat_map(|(p, t)| p.iter().zip(t));
+                for (g, (pi, ti)) in grad.iter_mut().zip(targets) {
+                    *g = (pi - ti) / xs.len() as f64;
+                }
+            });
         }
         Ok(())
     }

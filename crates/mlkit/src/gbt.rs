@@ -4,13 +4,15 @@
 //! reproduction's equivalent: depth-limited regression trees fitted to
 //! residuals with shrinkage and optional feature subsampling.
 //!
-//! Since PR 2 the split search runs as a single sorted prefix-sum sweep
-//! (sum / sum-of-squares sufficient statistics) instead of re-scanning the
-//! node for every candidate threshold — an O(n·thresholds) → O(n log n)
-//! algorithmic win — and the per-feature searches fan out across worker
-//! threads via [`crate::parallel`]. Feature-subsampling coin flips are drawn
-//! *before* the fan-out, so the fitted ensemble is bit-identical at every
-//! thread count.
+//! Splits are found by XGBoost's exact pre-sorted enumeration: each
+//! feature column is stably sorted once per boosting call, a tree node is a
+//! range of those orders that splitting partitions in place, and a node's
+//! best split per feature comes from a two-pass streaming sweep over
+//! (sum, sum-of-squares) sufficient statistics — no per-node sort and no
+//! per-node allocation besides the node itself. The per-feature searches of
+//! large nodes fan out across worker threads via [`crate::parallel`].
+//! Feature-subsampling coin flips are drawn *before* the fan-out, so the
+//! fitted ensemble is bit-identical at every thread count.
 //!
 //! [`Gbt::fit_incremental`] warm-starts boosting from an existing forest:
 //! new trees are fitted to the residuals of the current predictions, so a
@@ -163,16 +165,16 @@ impl Gbt {
     fn boost<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(&mut self, xs: &[X], residuals: &mut [f64], rounds: usize, rng: &mut R) {
         let width = xs[0].as_ref().len();
         assert!(xs.iter().all(|x| x.as_ref().len() == width), "ragged features");
-        let indices: Vec<usize> = (0..xs.len()).collect();
-        let predict_threads = if xs.len() >= PARALLEL_PREDICT_ROWS {
-            Threads::AUTO
-        } else {
-            Threads::fixed(1)
-        };
+        if rounds == 0 {
+            return;
+        }
+        let mut presorted = Presorted::new(xs, width);
         for _ in 0..rounds {
-            let tree = build_tree(xs, residuals, &indices, self.params.max_depth, &self.params, rng);
-            let preds = parallel_map(predict_threads, xs, |_, x| tree.predict(x.as_ref()));
-            for (r, p) in residuals.iter_mut().zip(&preds) {
+            let tree = presorted.grow_tree(residuals, &self.params, rng);
+            // Every training row's prediction is the leaf it was routed to
+            // while growing: the same `x[feature] <= threshold` walk
+            // `Node::predict` takes.
+            for (r, p) in residuals.iter_mut().zip(&presorted.leaf_value) {
                 *r -= self.params.learning_rate * p;
             }
             self.trees.push(tree);
@@ -222,116 +224,247 @@ impl Gbt {
     }
 }
 
-fn build_tree<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(
-    xs: &[X],
-    targets: &[f64],
-    indices: &[usize],
-    depth: usize,
-    params: &GbtParams,
-    rng: &mut R,
-) -> Node {
-    let n = indices.len();
-    let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
-    if depth == 0 || n < params.min_samples_split {
-        return Node::Leaf(mean);
-    }
-    let width = xs[0].as_ref().len();
-    // Feature-subsampling coin flips happen before the parallel fan-out so
-    // the RNG stream (and thus the fitted model) is thread-count invariant.
-    let included: Vec<bool> = (0..width)
-        .map(|_| !(params.feature_fraction < 1.0 && rng.gen::<f64>() > params.feature_fraction))
-        .collect();
-    let threads = if n * width >= PARALLEL_SPLIT_CELLS {
-        Threads::AUTO
-    } else {
-        Threads::fixed(1)
-    };
-    let per_feature = parallel_map_range(threads, width, |feature| {
-        if included[feature] {
-            best_split_for_feature(xs, targets, indices, feature)
-        } else {
-            None
-        }
-    });
-    // Reduce with the legacy tie-break: earliest feature wins on equal gain.
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    for (feature, candidate) in per_feature.into_iter().enumerate() {
-        if let Some((threshold, gain)) = candidate {
-            if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
-                best = Some((feature, threshold, gain));
-            }
-        }
-    }
-    match best {
-        None => Node::Leaf(mean),
-        Some((feature, threshold, _)) => {
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| xs[i].as_ref()[feature] <= threshold);
-            let left = build_tree(xs, targets, &left_idx, depth - 1, params, rng);
-            let right = build_tree(xs, targets, &right_idx, depth - 1, params, rng);
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
-        }
-    }
-}
-
-/// Best `(threshold, gain)` for one feature via a single sorted prefix-sum
-/// sweep over (sum, sum-of-squares) sufficient statistics.
+/// Working set of the presorted exact split search, built once per
+/// [`Gbt::boost`] call: feature values never change across boosting rounds,
+/// only the residuals do.
 ///
-/// Candidate thresholds are the same quantile-ish midpoints the original
-/// two-pass search visited (consecutive distinct sorted values, strided so
-/// at most ~16 candidates are scored), but each candidate now costs O(1)
-/// instead of two O(n) scans.
-fn best_split_for_feature<X: AsRef<[f64]>>(xs: &[X], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
-    let n = indices.len();
-    let mut pairs: Vec<(f64, f64)> = indices.iter().map(|&i| (xs[i].as_ref()[feature], targets[i])).collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Prefix sums of t and t² over the sorted order, plus the boundary
-    // position (count of samples ≤ value) of each distinct-value run.
-    let mut prefix_sum = vec![0.0f64; n + 1];
-    let mut prefix_sq = vec![0.0f64; n + 1];
-    let mut runs: Vec<(f64, usize)> = Vec::new(); // (distinct value, samples ≤ it)
-    for (i, &(v, t)) in pairs.iter().enumerate() {
-        prefix_sum[i + 1] = prefix_sum[i] + t;
-        prefix_sq[i + 1] = prefix_sq[i] + t * t;
-        match runs.last_mut() {
-            Some(run) if run.0 == v => run.1 = i + 1,
-            _ => runs.push((v, i + 1)),
-        }
-    }
-    if runs.len() < 2 {
-        return None;
-    }
-    let total_sum = prefix_sum[n];
-    let total_sq = prefix_sq[n];
-    let parent_sse = total_sq - total_sum * total_sum / n as f64;
-    let step = (runs.len() / 16).max(1);
-    let mut best: Option<(f64, f64)> = None;
-    for j in (0..runs.len() - 1).step_by(step) {
-        let threshold = (runs[j].0 + runs[j + 1].0) / 2.0;
-        let p = runs[j].1; // left count: every sample with value ≤ runs[j].0
-        let left_sum = prefix_sum[p];
-        let left_sse = prefix_sq[p] - left_sum * left_sum / p as f64;
-        let right_sum = total_sum - left_sum;
-        let right_sse = (total_sq - prefix_sq[p]) - right_sum * right_sum / (n - p) as f64;
-        let gain = parent_sse - (left_sse + right_sse);
-        if best.is_none_or(|(_, g)| gain > g) {
-            best = Some((threshold, gain));
-        }
-    }
-    best
+/// Every column of `order` holds a tree node's rows in the same range
+/// `lo..hi`. Column `f < width` keeps them stably sorted by feature `f`;
+/// column `width` keeps them in ascending row order. Splitting a node
+/// stably partitions each column's range in place, so a node's range is
+/// exactly the stable sort of its ascending row indices — the order the
+/// per-node `sort_by` of the original builder produced — and every sum is
+/// accumulated in the same order. Per-node work allocates nothing but the
+/// `Box<Node>`.
+struct Presorted {
+    rows: usize,
+    width: usize,
+    /// Column-major feature values: `values[f * rows + i]` is `xs[i][f]`.
+    values: Vec<f64>,
+    /// `width + 1` columns of row indices at the root: stably sorted per
+    /// feature, then the identity order.
+    sorted: Vec<usize>,
+    /// The working copy of `sorted` a tree partitions in place.
+    order: Vec<usize>,
+    /// Right-hand rows of one column during a partition.
+    scratch: Vec<usize>,
+    /// Membership mask of the split being applied.
+    goes_left: Vec<bool>,
+    /// Feature-subsampling mask of the node being split.
+    included: Vec<bool>,
+    /// The leaf value each training row reached in the last grown tree.
+    leaf_value: Vec<f64>,
 }
 
-/// The prefix-sum split search for one feature, exposed so the
-/// `search_throughput` harness can time it against the two-pass reference.
+impl Presorted {
+    fn new<X: AsRef<[f64]>>(xs: &[X], width: usize) -> Self {
+        let rows = xs.len();
+        let mut values = vec![0.0; width * rows];
+        for (i, x) in xs.iter().enumerate() {
+            for (f, &v) in x.as_ref().iter().enumerate() {
+                values[f * rows + i] = v;
+            }
+        }
+        let mut sorted: Vec<usize> = Vec::with_capacity((width + 1) * rows);
+        for f in 0..=width {
+            let start = sorted.len();
+            sorted.extend(0..rows);
+            if f < width {
+                let column = &values[f * rows..(f + 1) * rows];
+                sorted[start..].sort_by(|&a, &b| column[a].total_cmp(&column[b]));
+            }
+        }
+        Self {
+            rows,
+            width,
+            order: sorted.clone(),
+            sorted,
+            values,
+            scratch: vec![0; rows],
+            goes_left: vec![false; rows],
+            included: vec![false; width],
+            leaf_value: vec![0.0; rows],
+        }
+    }
+
+    /// Grows one tree on `targets` from the full training set.
+    fn grow_tree<R: Rng + ?Sized>(&mut self, targets: &[f64], params: &GbtParams, rng: &mut R) -> Node {
+        self.order.copy_from_slice(&self.sorted);
+        self.grow(targets, 0, self.rows, params.max_depth, params, rng)
+    }
+
+    /// The node's rows in column `column` (`width` = ascending row order).
+    fn segment(&self, column: usize, lo: usize, hi: usize) -> &[usize] {
+        &self.order[column * self.rows + lo..column * self.rows + hi]
+    }
+
+    fn grow<R: Rng + ?Sized>(&mut self, targets: &[f64], lo: usize, hi: usize, depth: usize, params: &GbtParams, rng: &mut R) -> Node {
+        let n = hi - lo;
+        let mean: f64 = self.segment(self.width, lo, hi).iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
+        if depth == 0 || n < params.min_samples_split {
+            return self.leaf(lo, hi, mean);
+        }
+        // Feature-subsampling coin flips happen before the parallel fan-out
+        // so the RNG stream (and thus the fitted model) is thread-count
+        // invariant.
+        for included in &mut self.included {
+            *included = !(params.feature_fraction < 1.0 && rng.gen::<f64>() > params.feature_fraction);
+        }
+        let search = |feature: usize| {
+            if self.included[feature] {
+                self.best_split(targets, feature, lo, hi)
+            } else {
+                None
+            }
+        };
+        // Reduce with the legacy tie-break: earliest feature wins on equal gain.
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        let mut consider = |feature: usize, candidate: Option<(f64, f64)>| {
+            if let Some((threshold, gain)) = candidate {
+                if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
+                    best = Some((feature, threshold, gain));
+                }
+            }
+        };
+        if n * self.width >= PARALLEL_SPLIT_CELLS {
+            for (feature, candidate) in parallel_map_range(Threads::AUTO, self.width, search).into_iter().enumerate() {
+                consider(feature, candidate);
+            }
+        } else {
+            for feature in 0..self.width {
+                consider(feature, search(feature));
+            }
+        }
+        match best {
+            None => self.leaf(lo, hi, mean),
+            Some((feature, threshold, _)) => {
+                let mid = lo + self.partition(lo, hi, feature, threshold);
+                let left = self.grow(targets, lo, mid, depth - 1, params, rng);
+                let right = self.grow(targets, mid, hi, depth - 1, params, rng);
+                Node::Split {
+                    feature,
+                    threshold,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                }
+            }
+        }
+    }
+
+    fn leaf(&mut self, lo: usize, hi: usize, value: f64) -> Node {
+        let identity = self.width * self.rows;
+        for &i in &self.order[identity + lo..identity + hi] {
+            self.leaf_value[i] = value;
+        }
+        Node::Leaf(value)
+    }
+
+    /// Best `(threshold, gain)` for one feature over a node's presorted
+    /// rows, as a two-pass streaming sweep over (sum, sum-of-squares)
+    /// sufficient statistics: pass one finds the totals and the number of
+    /// distinct-value runs, pass two the running sums at run boundaries.
+    ///
+    /// Candidate thresholds are the midpoints between consecutive distinct
+    /// values, strided so at most ~16 candidates are scored — the set the
+    /// original two-pass search visited — and each costs O(1).
+    fn best_split(&self, targets: &[f64], feature: usize, lo: usize, hi: usize) -> Option<(f64, f64)> {
+        let order = self.segment(feature, lo, hi);
+        let values = &self.values[feature * self.rows..(feature + 1) * self.rows];
+        let (&first, _) = order.split_first()?;
+        let (mut total_sum, mut total_sq) = (0.0f64, 0.0f64);
+        let mut runs = 0usize;
+        let mut run_value = values[first];
+        for &i in order {
+            let (v, t) = (values[i], targets[i]);
+            total_sum += t;
+            total_sq += t * t;
+            // `!=` rather than `total_cmp`: -0.0 and 0.0 share a run.
+            if runs == 0 || v != run_value {
+                runs += 1;
+                run_value = v;
+            }
+        }
+        if runs < 2 {
+            return None;
+        }
+        let n = order.len();
+        let parent_sse = total_sq - total_sum * total_sum / n as f64;
+        let step = (runs / 16).max(1);
+        let (mut left_sum, mut left_sq) = (0.0f64, 0.0f64);
+        let mut run = 0usize; // index of the run `run_value` opened
+        let mut run_value = values[first];
+        let mut best: Option<(f64, f64)> = None;
+        for (p, &i) in order.iter().enumerate() {
+            let v = values[i];
+            if p > 0 && v != run_value {
+                // Run `run` ends here: the first `p` rows have value ≤ it.
+                if run.is_multiple_of(step) {
+                    let threshold = (run_value + v) / 2.0;
+                    let left_sse = left_sq - left_sum * left_sum / p as f64;
+                    let right_sum = total_sum - left_sum;
+                    let right_sse = (total_sq - left_sq) - right_sum * right_sum / (n - p) as f64;
+                    let gain = parent_sse - (left_sse + right_sse);
+                    if best.is_none_or(|(_, g)| gain > g) {
+                        best = Some((threshold, gain));
+                    }
+                }
+                run += 1;
+                run_value = v;
+            }
+            let t = targets[i];
+            left_sum += t;
+            left_sq += t * t;
+        }
+        best
+    }
+
+    /// Stably partitions the node `lo..hi` of every column by
+    /// `x[feature] <= threshold`; returns the left child's row count.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+        let Self {
+            rows,
+            width,
+            values,
+            order,
+            scratch,
+            goes_left,
+            ..
+        } = self;
+        let values = &values[feature * *rows..(feature + 1) * *rows];
+        let mut left = 0;
+        for &i in &order[*width * *rows + lo..*width * *rows + hi] {
+            goes_left[i] = values[i] <= threshold;
+            left += usize::from(goes_left[i]);
+        }
+        for column in order.chunks_exact_mut(*rows) {
+            let segment = &mut column[lo..hi];
+            let (mut l, mut r) = (0, 0);
+            for k in 0..segment.len() {
+                let i = segment[k];
+                if goes_left[i] {
+                    segment[l] = i;
+                    l += 1;
+                } else {
+                    scratch[r] = i;
+                    r += 1;
+                }
+            }
+            segment[l..].copy_from_slice(&scratch[..r]);
+        }
+        left
+    }
+}
+
+/// Best `(threshold, gain)` of every feature at the root node through the
+/// presorted sweep [`Gbt::fit`] runs, exposed so the `search_throughput`
+/// harness can time it (presort included) against the two-pass reference.
 /// Not part of the modeling API.
 #[doc(hidden)]
 #[must_use]
-pub fn prefix_sum_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
-    best_split_for_feature(xs, targets, indices, feature)
+pub fn presorted_root_splits(xs: &[Vec<f64>], targets: &[f64]) -> Vec<Option<(f64, f64)>> {
+    let width = xs.first().map_or(0, Vec::len);
+    let presorted = Presorted::new(xs, width);
+    (0..width).map(|f| presorted.best_split(targets, f, 0, xs.len())).collect()
 }
 
 /// The original O(n·thresholds) two-pass split search, kept verbatim as the
@@ -385,10 +518,121 @@ pub fn two_pass_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], 
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-node-sort tree builder the presorted search replaced, kept
+    /// as the reference the equivalence tests compare against bit for bit.
+    mod reference {
+        use super::super::{Gbt, GbtParams, Node};
+        use rand::Rng;
+
+        pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: GbtParams, rng: &mut impl Rng) -> Gbt {
+            let base = ys.iter().sum::<f64>() / ys.len() as f64;
+            let mut residuals: Vec<f64> = ys.iter().map(|y| y - base).collect();
+            let mut forest = Gbt {
+                base,
+                trees: Vec::new(),
+                params,
+            };
+            boost(&mut forest, xs, &mut residuals, params.trees, rng);
+            forest
+        }
+
+        pub fn fit_incremental(forest: &Gbt, xs: &[Vec<f64>], ys: &[f64], extra_trees: usize, rng: &mut impl Rng) -> Gbt {
+            let preds = forest.predict_batch(xs);
+            let mut residuals: Vec<f64> = ys.iter().zip(&preds).map(|(y, p)| y - p).collect();
+            let mut forest = forest.clone();
+            boost(&mut forest, xs, &mut residuals, extra_trees, rng);
+            forest
+        }
+
+        fn boost(forest: &mut Gbt, xs: &[Vec<f64>], residuals: &mut [f64], rounds: usize, rng: &mut impl Rng) {
+            let indices: Vec<usize> = (0..xs.len()).collect();
+            for _ in 0..rounds {
+                let tree = build_tree(xs, residuals, &indices, forest.params.max_depth, &forest.params, rng);
+                for (r, x) in residuals.iter_mut().zip(xs) {
+                    *r -= forest.params.learning_rate * tree.predict(x);
+                }
+                forest.trees.push(tree);
+            }
+        }
+
+        fn build_tree(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], depth: usize, params: &GbtParams, rng: &mut impl Rng) -> Node {
+            let n = indices.len();
+            let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
+            if depth == 0 || n < params.min_samples_split {
+                return Node::Leaf(mean);
+            }
+            let width = xs[0].len();
+            let included: Vec<bool> = (0..width)
+                .map(|_| !(params.feature_fraction < 1.0 && rng.gen::<f64>() > params.feature_fraction))
+                .collect();
+            let mut best: Option<(usize, f64, f64)> = None;
+            for feature in (0..width).filter(|&f| included[f]) {
+                if let Some((threshold, gain)) = best_split_for_feature(xs, targets, indices, feature) {
+                    if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
+                        best = Some((feature, threshold, gain));
+                    }
+                }
+            }
+            match best {
+                None => Node::Leaf(mean),
+                Some((feature, threshold, _)) => {
+                    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| xs[i][feature] <= threshold);
+                    let left = build_tree(xs, targets, &left_idx, depth - 1, params, rng);
+                    let right = build_tree(xs, targets, &right_idx, depth - 1, params, rng);
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left: Box::new(left),
+                        right: Box::new(right),
+                    }
+                }
+            }
+        }
+
+        /// Sorts the node's `(value, target)` pairs, then scores the strided
+        /// distinct-value boundaries from prefix sums.
+        pub fn best_split_for_feature(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
+            let n = indices.len();
+            let mut pairs: Vec<(f64, f64)> = indices.iter().map(|&i| (xs[i][feature], targets[i])).collect();
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut prefix_sum = vec![0.0f64; n + 1];
+            let mut prefix_sq = vec![0.0f64; n + 1];
+            let mut runs: Vec<(f64, usize)> = Vec::new(); // (distinct value, samples ≤ it)
+            for (i, &(v, t)) in pairs.iter().enumerate() {
+                prefix_sum[i + 1] = prefix_sum[i] + t;
+                prefix_sq[i + 1] = prefix_sq[i] + t * t;
+                match runs.last_mut() {
+                    Some(run) if run.0 == v => run.1 = i + 1,
+                    _ => runs.push((v, i + 1)),
+                }
+            }
+            if runs.len() < 2 {
+                return None;
+            }
+            let total_sum = prefix_sum[n];
+            let total_sq = prefix_sq[n];
+            let parent_sse = total_sq - total_sum * total_sum / n as f64;
+            let step = (runs.len() / 16).max(1);
+            let mut best: Option<(f64, f64)> = None;
+            for j in (0..runs.len() - 1).step_by(step) {
+                let threshold = (runs[j].0 + runs[j + 1].0) / 2.0;
+                let p = runs[j].1;
+                let left_sum = prefix_sum[p];
+                let left_sse = prefix_sq[p] - left_sum * left_sum / p as f64;
+                let right_sum = total_sum - left_sum;
+                let right_sse = (total_sq - prefix_sq[p]) - right_sum * right_sum / (n - p) as f64;
+                let gain = parent_sse - (left_sse + right_sse);
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((threshold, gain));
+                }
+            }
+            best
+        }
+    }
 
     fn friedman_like(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
-        use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
         let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..4).map(|_| rng.gen_range(0.0..1.0)).collect()).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0] + x[1] * x[2] - 2.0 * (x[3] - 0.5).powi(2)).collect();
@@ -484,14 +728,13 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sum_split_matches_two_pass_reference() {
-        // The PR-2 rewrite must pick the same (feature, threshold) as the
-        // original re-scanning search on a fixed fixture.
+    fn presorted_split_matches_two_pass_reference() {
+        // The presorted sweep must pick the same threshold as the original
+        // re-scanning search on a fixed fixture.
         let (xs, ys) = friedman_like(500, 42);
         let indices: Vec<usize> = (0..xs.len()).collect();
         let width = xs[0].len();
-        for feature in 0..width {
-            let fast = best_split_for_feature(&xs, &ys, &indices, feature);
+        for (feature, fast) in presorted_root_splits(&xs, &ys).into_iter().enumerate() {
             let slow = two_pass_best_split(&xs, &ys, &indices, feature);
             match (fast, slow) {
                 (Some((ft, fg)), Some((st, sg))) => {
@@ -533,10 +776,91 @@ mod tests {
         // Columns with a single distinct value must be unsplittable.
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![1.0, (i % 3) as f64]).collect();
         let ys: Vec<f64> = (0..30).map(|i| (i % 3) as f64 * 10.0).collect();
-        let indices: Vec<usize> = (0..30).collect();
-        assert_eq!(best_split_for_feature(&xs, &ys, &indices, 0), None);
-        let (_, gain) = best_split_for_feature(&xs, &ys, &indices, 1).expect("feature 1 separates");
+        let splits = presorted_root_splits(&xs, &ys);
+        assert_eq!(splits[0], None);
+        let (_, gain) = splits[1].expect("feature 1 separates");
         assert!(gain > 0.0);
+    }
+
+    /// A random training set: integer columns with few distinct values
+    /// (duplicate-heavy), continuous columns, and targets mixing both.
+    fn mixed_fixture(rng: &mut StdRng, n: usize, width: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let levels: Vec<Option<u32>> = (0..width).map(|_| rng.gen_bool(0.5).then(|| rng.gen_range(1..6))).collect();
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                levels
+                    .iter()
+                    .map(|l| match l {
+                        Some(k) => f64::from(rng.gen_range(0..*k)),
+                        None => rng.gen_range(-1.0..1.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| x[0] * 2.0 - x[x.len() / 2] * x[x.len() - 1] + rng.gen_range(-0.1..0.1))
+            .collect();
+        (xs, ys)
+    }
+
+    fn bits(gbt: &Gbt, xs: &[Vec<f64>]) -> Vec<u64> {
+        xs.iter().map(|x| gbt.predict(x).to_bits()).collect()
+    }
+
+    #[test]
+    fn presorted_fit_is_bit_identical_to_per_node_sort_reference() {
+        let mut shapes = StdRng::seed_from_u64(0x5eed);
+        for case in 0..48 {
+            let n = if case < 4 { case + 1 } else { shapes.gen_range(1..600) };
+            let width = shapes.gen_range(1..40);
+            let (xs, ys) = mixed_fixture(&mut shapes, n, width);
+            let params = GbtParams {
+                trees: shapes.gen_range(1..12),
+                max_depth: shapes.gen_range(1..6),
+                min_samples_split: shapes.gen_range(2..8),
+                feature_fraction: if shapes.gen_bool(0.5) { 0.9 } else { 1.0 },
+                ..GbtParams::default()
+            };
+            let seed = shapes.gen::<u64>();
+            let expected = reference::fit(&xs, &ys, params, &mut StdRng::seed_from_u64(seed));
+            let grown = reference::fit_incremental(&expected, &xs, &ys, 3, &mut StdRng::seed_from_u64(seed ^ 1));
+            for threads in [1, 4] {
+                crate::parallel::set_default_threads(threads);
+                let fitted = Gbt::fit(&xs, &ys, params, &mut StdRng::seed_from_u64(seed));
+                let extended = expected.fit_incremental(&xs, &ys, 3, &mut StdRng::seed_from_u64(seed ^ 1));
+                crate::parallel::set_default_threads(0);
+                assert_eq!(
+                    bits(&fitted, &xs),
+                    bits(&expected, &xs),
+                    "case {case}: fit, {n}x{width} at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&extended, &xs),
+                    bits(&grown, &xs),
+                    "case {case}: fit_incremental at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn presorted_fit_matches_reference_on_signed_zeros_and_nan() {
+        // -0.0 and 0.0 share a distinct-value run; NaN sorts last and opens
+        // a run of its own per row. Both must route exactly as before.
+        let column = [0.0, -0.0, 1.0, f64::NAN, -0.0, 2.0, 0.0, f64::NAN, 1.0, -1.0];
+        let xs: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![column[i % 10], column[(i * 3) % 10], f64::from(i as u32 % 4)])
+            .collect();
+        let ys: Vec<f64> = (0..40).map(|i| f64::from(i as u32 % 7) - 3.0).collect();
+        let params = GbtParams {
+            trees: 6,
+            min_samples_split: 2,
+            ..GbtParams::default()
+        };
+        let expected = reference::fit(&xs, &ys, params, &mut StdRng::seed_from_u64(1));
+        let fitted = Gbt::fit(&xs, &ys, params, &mut StdRng::seed_from_u64(1));
+        assert_eq!(bits(&fitted, &xs), bits(&expected, &xs));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! function as "light-weight" networks (small MLPs). This module provides
 //! exactly that: dense layers, ReLU/tanh activations, manual backprop, and
 //! an Adam optimizer. Callers can train against mean-squared error directly
-//! ([`Mlp::train_mse`]) or supply custom output gradients
-//! ([`Mlp::train_with_output_grads`]) for softmax/cross-entropy heads and
-//! policy-gradient objectives.
+//! ([`Mlp::train_mse`]) or supply custom output gradients through
+//! [`Mlp::train_step`] for softmax/cross-entropy heads and policy-gradient
+//! objectives. A training step runs each sample's forward pass once, into
+//! buffers reused across the batch.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -80,6 +81,33 @@ impl Dense {
             })
             .collect()
     }
+
+    /// The weights input-major: `transposed()[c * rows + o]` is `w[o][c]`.
+    fn transposed(&self) -> Vec<f64> {
+        let mut t = vec![0.0; self.w.len()];
+        for (o, row) in self.w.chunks_exact(self.cols).enumerate() {
+            for (c, &w) in row.iter().enumerate() {
+                t[c * self.rows + o] = w;
+            }
+        }
+        t
+    }
+
+    /// [`Dense::forward`] into `out`, given [`Dense::transposed`] weights.
+    /// Each output still sums its input products in input order from the
+    /// `-0.0` that `f64: Sum` starts at, so the values are bit-identical;
+    /// iterating input-major lets the independent outputs vectorise.
+    fn forward_into(&self, transposed: &[f64], x: &[f64], out: &mut [f64]) {
+        out.fill(-0.0);
+        for (column, &xi) in transposed.chunks_exact(self.rows).zip(x) {
+            for (acc, w) in out.iter_mut().zip(column) {
+                *acc += w * xi;
+            }
+        }
+        for (acc, b) in out.iter_mut().zip(&self.b) {
+            *acc += b;
+        }
+    }
 }
 
 /// A multi-layer perceptron with identity output head.
@@ -149,84 +177,86 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics on width mismatches or an empty batch.
-    pub fn train_mse(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) -> f64 {
+    pub fn train_mse<X: AsRef<[f64]>, Y: AsRef<[f64]>>(&mut self, xs: &[X], ys: &[Y], lr: f64) -> f64 {
         assert_eq!(xs.len(), ys.len(), "batch inputs/targets must align");
         let mut loss = 0.0;
-        let outputs: Vec<Vec<f64>> = xs.iter().map(|x| self.predict(x)).collect();
-        let grads: Vec<Vec<f64>> = outputs
-            .iter()
-            .zip(ys)
-            .map(|(o, y)| {
-                assert_eq!(o.len(), y.len(), "target width mismatch");
-                o.iter()
-                    .zip(y)
-                    .map(|(oi, yi)| {
-                        let d = oi - yi;
-                        loss += d * d;
-                        2.0 * d / (xs.len() * o.len()) as f64
-                    })
-                    .collect()
-            })
-            .collect();
-        self.train_with_output_grads(xs, &grads, lr);
+        self.train_step(xs, lr, |sample, output, grad| {
+            let y = ys[sample].as_ref();
+            assert_eq!(output.len(), y.len(), "target width mismatch");
+            for ((g, oi), yi) in grad.iter_mut().zip(output).zip(y) {
+                let d = oi - yi;
+                loss += d * d;
+                *g = 2.0 * d / (xs.len() * output.len()) as f64;
+            }
+        });
         loss / (xs.len().max(1) * self.output_width()) as f64
     }
 
-    /// One Adam step given per-sample gradients of the loss w.r.t. the
-    /// network **output** (linear head). This is the hook for softmax
+    /// One Adam step over a batch. Each sample runs a single forward pass;
+    /// `output_grad(sample, output, grad)` then writes the gradient of the
+    /// loss w.r.t. the network **output** (linear head) into the zeroed
+    /// `grad`, and the step backpropagates it. This is the hook for softmax
     /// cross-entropy heads (`∂L/∂logits = p − onehot`) and policy-gradient
-    /// objectives.
+    /// objectives; [`Mlp::train_mse`] is the mean-squared-error case.
     ///
     /// # Panics
     ///
     /// Panics on width mismatches or an empty batch.
-    pub fn train_with_output_grads(&mut self, xs: &[Vec<f64>], output_grads: &[Vec<f64>], lr: f64) {
+    pub fn train_step<X: AsRef<[f64]>>(&mut self, xs: &[X], lr: f64, mut output_grad: impl FnMut(usize, &[f64], &mut [f64])) {
         assert!(!xs.is_empty(), "empty training batch");
-        assert_eq!(xs.len(), output_grads.len());
         let n_layers = self.layers.len();
         // Accumulated gradients.
         let mut gw: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
         let mut gb: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        // The weights stay fixed until the Adam update, so each layer is
+        // transposed once per batch for the input-major forward pass.
+        let transposed: Vec<Vec<f64>> = self.layers.iter().map(Dense::transposed).collect();
+        // `acts[i]` is layer `i`'s (activated) output; `deltas[i]` the loss
+        // gradient w.r.t. its pre-activation output.
+        let mut acts: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.rows]).collect();
+        let mut deltas = acts.clone();
 
-        for (x, out_grad) in xs.iter().zip(output_grads) {
-            assert_eq!(out_grad.len(), self.output_width(), "output grad width mismatch");
-            // Forward, caching activations per layer: layer `i` consumes
-            // activation `i` and pushes activation `i + 1`.
-            let mut acts: Vec<Vec<f64>> = vec![x.clone()];
+        for (sample, x) in xs.iter().enumerate() {
+            let x = x.as_ref();
+            assert_eq!(x.len(), self.input_width(), "input width mismatch");
             for (i, layer) in self.layers.iter().enumerate() {
-                let mut h = layer.forward(&acts[i]);
+                let (done, rest) = acts.split_at_mut(i);
+                let input = done.last().map_or(x, Vec::as_slice);
+                layer.forward_into(&transposed[i], input, &mut rest[0]);
                 if i != n_layers - 1 {
-                    for v in &mut h {
+                    for v in &mut rest[0] {
                         *v = self.activation.apply(*v);
                     }
                 }
-                acts.push(h);
             }
+            let (output, grad) = (&acts[n_layers - 1], &mut deltas[n_layers - 1]);
+            grad.fill(0.0);
+            output_grad(sample, output, grad);
             // Backward.
-            let mut delta = out_grad.clone();
             for i in (0..n_layers).rev() {
-                let input = &acts[i];
+                let layer = &self.layers[i];
+                let input = if i == 0 { x } else { &acts[i - 1] };
+                let (below, rest) = deltas.split_at_mut(i);
+                let delta = &rest[0];
                 for (o, d) in delta.iter().enumerate() {
                     gb[i][o] += d;
-                    let row = &mut gw[i][o * self.layers[i].cols..(o + 1) * self.layers[i].cols];
+                    let row = &mut gw[i][o * layer.cols..(o + 1) * layer.cols];
                     for (g, xi) in row.iter_mut().zip(input) {
                         *g += d * xi;
                     }
                 }
                 if i > 0 {
-                    let layer = &self.layers[i];
-                    let mut prev = vec![0.0; layer.cols];
-                    for (o, d) in delta.iter().enumerate() {
-                        let row = &layer.w[o * layer.cols..(o + 1) * layer.cols];
+                    let prev = &mut below[i - 1];
+                    prev.fill(0.0);
+                    for (d, row) in delta.iter().zip(layer.w.chunks_exact(layer.cols)) {
                         for (p, w) in prev.iter_mut().zip(row) {
                             *p += d * w;
                         }
                     }
                     // Activation derivative uses the *activated* value.
-                    for (p, a) in prev.iter_mut().zip(&acts[i]) {
+                    for (p, a) in prev.iter_mut().zip(input) {
                         *p *= self.activation.derivative(*a);
                     }
-                    delta = prev;
                 }
             }
         }
@@ -306,19 +336,122 @@ mod tests {
         let ce = |mlp: &Mlp| -> f64 { xs.iter().zip(targets).map(|(x, t)| -softmax(&mlp.predict(x))[t].ln()).sum::<f64>() };
         let before = ce(&mlp);
         for _ in 0..200 {
-            let grads: Vec<Vec<f64>> = xs
-                .iter()
-                .zip(targets)
-                .map(|(x, t)| {
-                    let mut p = softmax(&mlp.predict(x));
-                    p[t] -= 1.0;
-                    p
-                })
-                .collect();
-            mlp.train_with_output_grads(&xs, &grads, 0.01);
+            mlp.train_step(&xs, 0.01, |sample, logits, grad| {
+                let mut p = softmax(logits);
+                p[targets[sample]] -= 1.0;
+                grad.copy_from_slice(&p);
+            });
         }
         let after = ce(&mlp);
         assert!(after < before * 0.2, "CE {before} -> {after}");
+    }
+
+    /// The two-forward trainer `train_step` replaced: a `predict` per
+    /// sample for the output gradients, then a second forward pass with
+    /// per-sample activation vectors before backpropagating.
+    fn reference_step(mlp: &mut Mlp, xs: &[Vec<f64>], lr: f64, output_grad: &dyn Fn(usize, &[f64]) -> Vec<f64>) {
+        let grads: Vec<Vec<f64>> = xs.iter().enumerate().map(|(s, x)| output_grad(s, &mlp.predict(x))).collect();
+        let n_layers = mlp.layers.len();
+        let mut gw: Vec<Vec<f64>> = mlp.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
+        let mut gb: Vec<Vec<f64>> = mlp.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        for (x, out_grad) in xs.iter().zip(&grads) {
+            let mut acts: Vec<Vec<f64>> = vec![x.clone()];
+            for (i, layer) in mlp.layers.iter().enumerate() {
+                let mut h = layer.forward(&acts[i]);
+                if i != n_layers - 1 {
+                    for v in &mut h {
+                        *v = mlp.activation.apply(*v);
+                    }
+                }
+                acts.push(h);
+            }
+            let mut delta = out_grad.clone();
+            for i in (0..n_layers).rev() {
+                let layer = &mlp.layers[i];
+                for (o, d) in delta.iter().enumerate() {
+                    gb[i][o] += d;
+                    for (g, xi) in gw[i][o * layer.cols..(o + 1) * layer.cols].iter_mut().zip(&acts[i]) {
+                        *g += d * xi;
+                    }
+                }
+                if i > 0 {
+                    let mut prev = vec![0.0; layer.cols];
+                    for (o, d) in delta.iter().enumerate() {
+                        for (p, w) in prev.iter_mut().zip(&layer.w[o * layer.cols..(o + 1) * layer.cols]) {
+                            *p += d * w;
+                        }
+                    }
+                    for (p, a) in prev.iter_mut().zip(&acts[i]) {
+                        *p *= mlp.activation.derivative(*a);
+                    }
+                    delta = prev;
+                }
+            }
+        }
+        mlp.step += 1;
+        let t = mlp.step as f64;
+        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+        let (bias1, bias2) = (1.0 - b1.powf(t), 1.0 - b2.powf(t));
+        for (i, layer) in mlp.layers.iter_mut().enumerate() {
+            let params = [
+                (&mut layer.w, &mut layer.mw, &mut layer.vw, &gw[i]),
+                (&mut layer.b, &mut layer.mb, &mut layer.vb, &gb[i]),
+            ];
+            for (w, m, v, g) in params {
+                for j in 0..g.len() {
+                    m[j] = b1 * m[j] + (1.0 - b1) * g[j];
+                    v[j] = b2 * v[j] + (1.0 - b2) * g[j] * g[j];
+                    w[j] -= lr * (m[j] / bias1) / ((v[j] / bias2).sqrt() + eps);
+                }
+            }
+        }
+    }
+
+    /// Every weight, bias and Adam moment, as bits.
+    fn state_bits(mlp: &Mlp) -> Vec<u64> {
+        mlp.layers
+            .iter()
+            .flat_map(|l| [&l.w, &l.b, &l.mw, &l.vw, &l.mb, &l.vb])
+            .flat_map(|v| v.iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn train_step_is_bit_identical_to_two_forward_reference() {
+        use rand::Rng;
+        for activation in [Activation::Relu, Activation::Tanh] {
+            for batch in [1, 7, 64] {
+                let mut rng = StdRng::seed_from_u64(batch as u64);
+                let xs: Vec<Vec<f64>> = (0..batch).map(|_| (0..5).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect();
+                let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0] * x[1], x[2].sin(), -x[3]]).collect();
+                let fresh = Mlp::new(&[5, 12, 9, 3], activation, &mut rng);
+                // Mean-squared error through `train_mse`.
+                let (mut fast, mut slow) = (fresh.clone(), fresh.clone());
+                let mse = |s: usize, o: &[f64]| -> Vec<f64> {
+                    o.iter()
+                        .zip(&ys[s])
+                        .map(|(oi, yi)| 2.0 * (oi - yi) / (xs.len() * o.len()) as f64)
+                        .collect()
+                };
+                for _ in 0..20 {
+                    fast.train_mse(&xs, &ys, 0.01);
+                    reference_step(&mut slow, &xs, 0.01, &mse);
+                }
+                assert_eq!(state_bits(&fast), state_bits(&slow), "{activation:?} mse, batch {batch}");
+                // A custom softmax cross-entropy gradient through `train_step`.
+                let (mut fast, mut slow) = (fresh.clone(), fresh);
+                let ce = |s: usize, o: &[f64]| -> Vec<f64> {
+                    let mut p = crate::stats::softmax(o);
+                    p[s % 3] -= 1.0;
+                    p.iter().map(|pi| pi / xs.len() as f64).collect()
+                };
+                for _ in 0..20 {
+                    fast.train_step(&xs, 0.01, |s, o, g| g.copy_from_slice(&ce(s, o)));
+                    reference_step(&mut slow, &xs, 0.01, &ce);
+                }
+                assert_eq!(state_bits(&fast), state_bits(&slow), "{activation:?} cross-entropy, batch {batch}");
+            }
+        }
     }
 
     #[test]
