@@ -1,8 +1,9 @@
 //! Search-layer throughput record (not a paper artifact): times the hot
 //! paths the deterministic parallel layer and the incremental surrogate
-//! lifecycle accelerate — SA chain batches, GBT surrogate fits, GP fits,
-//! the per-round surrogate-fit cadence (scratch-every-round vs
-//! warm-started boosting), and an end-to-end AutoTVM round — and verifies
+//! lifecycle accelerate — SA chain batches, GBT surrogate fits, GP fits
+//! and acquisition scoring, the per-round surrogate-fit cadence
+//! (scratch-every-round vs warm-started boosting), and an end-to-end
+//! AutoTVM round — and verifies
 //! the outputs are bit-identical across worker counts / at every
 //! scratch-refit boundary.
 //!
@@ -16,24 +17,29 @@
 //! of Glimpse's offline meta-training (the acquisition's throwaway
 //! surrogates and an Adam step of its network) and check their outputs
 //! against digests pinned from the per-node-sort tree builder and the
-//! two-forward trainer they replaced. The `threads` block records requested vs effective worker
-//! counts: auto-resolved requests are clamped to available parallelism,
-//! explicit `Threads::fixed` pins are not.
+//! two-forward trainer they replaced. The `gp_score` block times one DGP
+//! round's acquisition scoring through the lane-blocked batch and per
+//! candidate, and checks both against a digest pinned from the one-query
+//! posterior; `gp_fit` also times the Cholesky factorization alone. The
+//! `threads` block records requested vs effective worker counts:
+//! auto-resolved requests are clamped to available parallelism, explicit
+//! `Threads::fixed` pins are not.
 //!
 //! ```text
 //! search_throughput [--quick] [--out <path>]
 //! ```
 
 use glimpse_durable::crc32;
-use glimpse_gpu_spec::database;
+use glimpse_gpu_spec::{database, GpuSpec};
 use glimpse_mlkit::gbt::{presorted_root_splits, two_pass_best_split, Gbt, GbtParams};
 use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
+use glimpse_mlkit::linalg::Matrix;
 use glimpse_mlkit::mlp::{Activation, Mlp};
 use glimpse_mlkit::parallel::{available_workers, set_default_threads, Threads};
 use glimpse_mlkit::sa::{anneal_threaded_in_place, SaParams};
 use glimpse_sim::Measurer;
-use glimpse_space::templates;
-use glimpse_tensor_prog::models;
+use glimpse_space::{templates, Config, SearchSpace};
+use glimpse_tensor_prog::{models, Task};
 use glimpse_tuners::autotvm::AutoTvmTuner;
 use glimpse_tuners::cost_model::{FitKind, GbtCostModel};
 use glimpse_tuners::dgp::DgpTuner;
@@ -76,6 +82,40 @@ const SMALL_FIT_DIGEST: u32 = 0xe0bb_dbe8;
 /// CRC32 of the `mlp_step` fixture's serialized network after its steps,
 /// as the two-forward trainer produced it.
 const MLP_STEP_DIGEST: u32 = 0x1b10_09e3;
+/// CRC32 of the `gp_score` fixture's expected improvements (little-endian
+/// bits, pool order), as the one-query-at-a-time posterior produced them.
+const GP_SCORE_DIGEST: u32 = 0x3826_2788;
+
+/// One DGP round's scoring inputs: a GP over 200 measured trials on
+/// `task` (features, GFLOPS / 1000, DGP's kernel and noise) and a
+/// 384-config pool, each candidate's incumbent shifted by the prediction
+/// of a boosted-tree prior fitted to the same trials, as DGP's transfer
+/// prior shifts it.
+fn gp_score_fixture(task: &Task, space: &SearchSpace, gpu: &GpuSpec) -> (GaussianProcess, Vec<Vec<f64>>, Vec<f64>) {
+    let mut measurer = Measurer::new(gpu.clone(), 61);
+    let mut rng = StdRng::seed_from_u64(61);
+    let mut history = TuningHistory::new(&gpu.name, &task.id.model, task.id.index, task.template);
+    for _ in 0..200 {
+        let c = space.sample_uniform(&mut rng);
+        history.push(Trial::from_measure(&measurer.measure(space, &c)));
+    }
+    let mut prior = GbtCostModel::new(61);
+    prior.fit(space, &history);
+    let best = history.best_gflops();
+    let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = history
+        .trials
+        .iter()
+        .map(|t| (space.features(&t.config), t.gflops.unwrap_or(0.0) / 1000.0))
+        .unzip();
+    let kernel = RbfKernel {
+        variance: 1.0,
+        length_scale: 4.0,
+    };
+    let gp = GaussianProcess::fit(kernel, 1e-4, xs, &ys).expect("noisy kernel matrix is PD");
+    let pool: Vec<Config> = (0..384).map(|_| space.sample_uniform(&mut rng)).collect();
+    let incumbents = pool.iter().map(|c| (best - prior.predict(space, c)) / 1000.0).collect();
+    (gp, pool.iter().map(|c| space.features(c)).collect(), incumbents)
+}
 
 fn multi_workers() -> usize {
     available_workers().max(4)
@@ -260,6 +300,34 @@ fn main() {
     let (gp_sn, gp_mn) = time_best_of(reps, || fit_gp(multi_workers()));
     let gp_identical = gp_xs.iter().all(|q| gp_m1.predict(q).0.to_bits() == gp_mn.predict(q).0.to_bits());
     assert!(gp_identical, "GP fit diverged across thread counts");
+    // The fit's factorization alone, on the same (noisy, so PD) matrix.
+    let mut gram = Matrix::zeros(gp_rows, gp_rows);
+    for (i, a) in gp_xs.iter().enumerate() {
+        for (j, b) in gp_xs.iter().enumerate() {
+            gram[(i, j)] = kernel.eval(a, b) + if i == j { 1e-4 } else { 0.0 };
+        }
+    }
+    let (chol_s, _) = time_best_of(reps, || gram.cholesky().expect("PSD kernel matrix"));
+
+    // --- GP acquisition scoring (one DGP round) -------------------------
+    // A DGP-shaped round whatever `--quick` says: the GP conditions on
+    // 200 featurized trials of the real template and scores a 384-config
+    // pool, each candidate against its own prior-shifted incumbent.
+    let (score_gp, pool, incumbents) = gp_score_fixture(task, &space, gpu);
+    let (batch_s, batch_ei) = time_best_of(reps, || score_gp.expected_improvement_batch(&pool, &incumbents));
+    let (single_s, single_ei) = time_best_of(reps, || {
+        pool.iter()
+            .zip(&incumbents)
+            .map(|(q, &best)| score_gp.expected_improvement(q, best))
+            .collect::<Vec<f64>>()
+    });
+    let ei_bits: Vec<u8> = batch_ei.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    let gp_score_digest = crc32(&ei_bits);
+    let gp_score_identical = batch_ei.iter().zip(&single_ei).all(|(a, b)| a.to_bits() == b.to_bits()) && gp_score_digest == GP_SCORE_DIGEST;
+    assert!(
+        gp_score_identical,
+        "GP scoring diverged from the per-candidate posterior: crc32 {gp_score_digest:#010x}"
+    );
 
     // --- End-to-end tuner round (AutoTVM: fit + anneal + batch) ---------
     let budget = if quick { 48 } else { 96 };
@@ -402,7 +470,17 @@ fn main() {
             "single_thread_ms": gp_s1 * 1e3,
             "multi_thread_ms": gp_sn * 1e3,
             "speedup": gp_s1 / gp_sn,
+            "cholesky_ms": chol_s * 1e3,
             "identical": gp_identical,
+        },
+        "gp_score": {
+            "rows": score_gp.len(),
+            "candidates": pool.len(),
+            "batch_ms": batch_s * 1e3,
+            "per_candidate_ms": single_s * 1e3,
+            "speedup": single_s / batch_s,
+            "digest": format!("{gp_score_digest:#010x}"),
+            "identical": gp_score_identical,
         },
         "round": {
             "tuner": "autotvm",

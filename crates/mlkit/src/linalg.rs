@@ -141,6 +141,14 @@ impl Matrix {
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
     /// matrix, returning lower-triangular `L`.
     ///
+    /// Rows are factored in blocks of [`CHOLESKY_BLOCK`]. Left of the
+    /// block's own triangle, its rows are independent dot-product chains
+    /// over finished rows of `L`, so they run interleaved; the triangle is
+    /// then finished row by row. Every entry still starts from `A`'s entry
+    /// and subtracts its terms in ascending `k`, the order of the textbook
+    /// row-by-row (Cholesky–Banachiewicz) loop, and pivots are checked in
+    /// row order, so factor and error are bit-identical to that loop.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotPositiveDefinite`] when a pivot is
@@ -148,20 +156,37 @@ impl Matrix {
     pub fn cholesky(&self) -> Result<Matrix, LinalgError> {
         assert_eq!(self.rows, self.cols, "cholesky needs a square matrix");
         let n = self.rows;
+        let a = &self.data;
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+        for i0 in (0..n).step_by(CHOLESKY_BLOCK) {
+            let height = CHOLESKY_BLOCK.min(n - i0);
+            let (done, rest) = l.data.split_at_mut(i0 * n);
+            let block = &mut rest[..height * n];
+            if height == CHOLESKY_BLOCK {
+                cholesky_left_columns::<CHOLESKY_BLOCK>(&a[i0 * n..], done, block, n, i0);
+            } else {
+                for (r, row) in block.chunks_exact_mut(n).enumerate() {
+                    cholesky_left_columns::<1>(&a[(i0 + r) * n..], done, row, n, i0);
                 }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
+            }
+            for r in 0..height {
+                let i = i0 + r;
+                let (above, row) = block.split_at_mut(r * n);
+                for j in i0..=i {
+                    let (head, tail) = row.split_at_mut(j);
+                    let lj = if j == i { &*head } else { &above[(j - i0) * n..(j - i0) * n + j] };
+                    let mut sum = a[i * n + j];
+                    for (&lik, &ljk) in head.iter().zip(lj) {
+                        sum -= lik * ljk;
                     }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+                    if j == i {
+                        if sum <= 0.0 {
+                            return Err(LinalgError::NotPositiveDefinite { pivot: i });
+                        }
+                        tail[0] = sum.sqrt();
+                    } else {
+                        tail[0] = sum / above[(j - i0) * n + j];
+                    }
                 }
             }
         }
@@ -175,20 +200,22 @@ impl Matrix {
         let n = self.rows;
         assert_eq!(b.len(), n);
         let mut y = vec![0.0; n];
-        for i in 0..n {
+        for (i, row) in self.data.chunks_exact(n.max(1)).take(n).enumerate() {
+            let (done, rest) = y.split_at_mut(i);
             let mut sum = b[i];
-            for k in 0..i {
-                sum -= self[(i, k)] * y[k];
+            for (&lik, &yk) in row.iter().zip(done.iter()) {
+                sum -= lik * yk;
             }
-            y[i] = sum / self[(i, i)];
+            rest[0] = sum / row[i];
         }
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
+            let (head, later) = x.split_at_mut(i + 1);
             let mut sum = y[i];
-            for k in i + 1..n {
-                sum -= self[(k, i)] * x[k];
+            for (k, &xk) in later.iter().enumerate() {
+                sum -= self.data[(i + 1 + k) * n + i] * xk;
             }
-            x[i] = sum / self[(i, i)];
+            head[i] = sum / self.data[i * n + i];
         }
         x
     }
@@ -259,6 +286,33 @@ impl Matrix {
     }
 }
 
+/// Rows the Cholesky factorization interleaves: enough independent
+/// chains to hide the floating-point subtract latency of each.
+const CHOLESKY_BLOCK: usize = 4;
+
+/// Entries `L[i0 + r][j]` for `j < i0` of an `R`-row block of the
+/// Cholesky factor. `a` holds the block's rows of `A` from row `i0` on,
+/// `done` the finished rows `0..i0` of `L` and `block` the block's rows of
+/// `L`, all flat with stride `n`. For each column the `R` rows are
+/// independent chains over finished row `j`; each subtracts its terms in
+/// ascending `k`, starting from `A[i0 + r][j]`.
+fn cholesky_left_columns<const R: usize>(a: &[f64], done: &[f64], block: &mut [f64], n: usize, i0: usize) {
+    for j in 0..i0 {
+        let lj = &done[j * n..j * n + j];
+        let mut sum: [f64; R] = std::array::from_fn(|r| a[r * n + j]);
+        let heads: [&[f64]; R] = std::array::from_fn(|r| &block[r * n..r * n + j]);
+        for (k, &ljk) in lj.iter().enumerate() {
+            for (s, head) in sum.iter_mut().zip(&heads) {
+                *s -= head[k] * ljk;
+            }
+        }
+        let pivot = done[j * n + j];
+        for (r, s) in sum.into_iter().enumerate() {
+            block[r * n + j] = s / pivot;
+        }
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
 
@@ -307,6 +361,59 @@ impl fmt::Display for LinalgError {
 }
 
 impl std::error::Error for LinalgError {}
+
+/// The scalar kernels the blocked ones replaced, kept as equivalence
+/// references for the tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{LinalgError, Matrix};
+
+    /// Row-by-row (Cholesky–Banachiewicz) factorization, one dot product
+    /// at a time.
+    pub(crate) fn cholesky(a: &Matrix) -> Result<Matrix, LinalgError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// Forward then back substitution through the factor `l`, indexed.
+    pub(crate) fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= l[(i, k)] * y[k];
+            }
+            y[i] = sum / l[(i, i)];
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for k in i + 1..n {
+                sum -= l[(k, i)] * x[k];
+            }
+            x[i] = sum / l[(i, i)];
+        }
+        x
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -385,6 +492,71 @@ mod tests {
     fn transpose_is_involution() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
+    }
+
+    /// `(rows of bits, or the failing pivot)` of a factorization.
+    fn factor_bits(r: Result<Matrix, LinalgError>) -> Result<Vec<u64>, LinalgError> {
+        r.map(|l| l.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Gram matrix of `n` random rows of width `d`, plus `diag` on the
+    /// diagonal. Integer-valued rows repeat (singular Gram), and entries
+    /// of either zero sign appear.
+    fn random_gram(n: usize, d: usize, diag: f64, seed: u64) -> Matrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => f64::from(rng.gen_range(-1i32..=1)),
+                        1 => -0.0,
+                        _ => rng.gen_range(-1.0..1.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let mut g = x.matmul(&x.transpose());
+        for i in 0..n {
+            g[(i, i)] += diag;
+        }
+        g
+    }
+
+    #[test]
+    fn blocked_cholesky_is_bit_identical_to_row_by_row_reference() {
+        let sizes = (1..=40).chain([63, 64, 65, 127, 128, 129, 199, 200, 255, 256, 257]);
+        for (case, n) in sizes.enumerate() {
+            let seed = case as u64;
+            // Full-rank, rank-deficient (fails at some pivot) and
+            // indefinite inputs.
+            for (d, diag) in [(n + 3, 1e-3), (n / 2 + 1, 0.0), (3, -0.5)] {
+                let a = random_gram(n, d, diag, seed);
+                let expected = factor_bits(reference::cholesky(&a));
+                assert_eq!(factor_bits(a.cholesky()), expected, "n={n} d={d} diag={diag}");
+                if let Ok(l) = a.cholesky() {
+                    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+                    let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(l.cholesky_solve(&b)), bits(reference::cholesky_solve(&l, &b)), "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_cholesky_matches_reference_on_signed_zeros_and_nan() {
+        let mut a = Matrix::identity(9);
+        a[(5, 2)] = -0.0;
+        a[(2, 5)] = -0.0;
+        a[(7, 0)] = 0.25;
+        a[(0, 7)] = 0.25;
+        let expected = factor_bits(reference::cholesky(&a));
+        assert!(expected.is_ok());
+        assert_eq!(factor_bits(a.cholesky()), expected);
+        a[(6, 1)] = f64::NAN;
+        a[(1, 6)] = f64::NAN;
+        assert_eq!(factor_bits(a.cholesky()), factor_bits(reference::cholesky(&a)));
     }
 
     proptest! {

@@ -11,7 +11,7 @@ use crate::context::{TuneContext, Tuner, TuningOutcome};
 use crate::cost_model::GbtCostModel;
 use crate::history::TuningHistory;
 use crate::round::seed_uniform;
-use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
+use glimpse_mlkit::gp::{GaussianProcess, RbfKernel, LANES};
 use glimpse_mlkit::parallel::{parallel_map, Threads};
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
@@ -26,7 +26,8 @@ pub struct DgpConfig {
     pub batch_size: usize,
     /// Candidate pool scored by the acquisition per iteration.
     pub candidates: usize,
-    /// Maximum observations the exact GP conditions on (recent-best subset).
+    /// Maximum observations the exact GP conditions on (the most recent
+    /// trials).
     pub gp_cap: usize,
     /// Cross-task logs from the same GPU for the transfer prior.
     pub transfer: Vec<TuningHistory>,
@@ -104,7 +105,7 @@ impl Tuner for DgpTuner {
                 prior.fit(ctx.space, ctx.history());
             }
             // GP over residuals (or raw values without a prior), on the
-            // most recent + best observations up to the cap. The full
+            // most recent observations up to the cap. The full
             // history is featurized through the prior's campaign cache —
             // only trials measured since the last round miss — and prior
             // evaluation fans out across workers per row.
@@ -128,17 +129,19 @@ impl Tuner for DgpTuner {
                 obs.drain(0..skip);
             }
             // The exact GP owns its conditioning matrix; copying the capped
-            // subset is cheap next to re-featurizing the whole history.
+            // subset is cheap next to re-featurizing the whole history. With
+            // nothing to condition on (no seed trials, or a zero cap) the GP
+            // is degenerate like a singular one.
             let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = obs.into_iter().map(|(f, y)| (f.to_vec(), y)).unzip();
-            let gp = GaussianProcess::fit(
-                RbfKernel {
-                    variance: 1.0,
-                    length_scale: 4.0,
-                },
-                1e-4,
-                xs,
-                &ys,
-            );
+            let kernel = RbfKernel {
+                variance: 1.0,
+                length_scale: 4.0,
+            };
+            let gp = if xs.is_empty() {
+                None
+            } else {
+                GaussianProcess::fit(kernel, 1e-4, xs, &ys).ok()
+            };
 
             let best_y = ctx.history().best_gflops();
             let ranked = ctx.history().ranked();
@@ -159,21 +162,36 @@ impl Tuner for DgpTuner {
                 }
             }
             let mut scored: Vec<(Config, f64)> = match &gp {
-                Ok(gp) => {
-                    let scores = parallel_map(Threads::AUTO, &candidates, |_, c| {
-                        let f = space.features(c);
-                        let m = if prior_ref.is_fitted() {
-                            prior_ref.predict_features(&f)
-                        } else {
-                            0.0
-                        };
-                        gp.expected_improvement(&f, (best_y - m) / SCALE)
+                // Each worker featurizes one contiguous share of the pool (a
+                // whole number of lane blocks), shifts each candidate's
+                // incumbent by its prior mean, and scores the share in
+                // lane-blocked passes of the GP. One call per worker
+                // allocates its scratch once per round; a call per lane
+                // block measurably fragments the heap (about 5% more peak
+                // RSS over a DGP campaign).
+                Some(gp) => {
+                    let share = candidates.len().div_ceil(Threads::AUTO.resolve()).next_multiple_of(LANES);
+                    let shares: Vec<&[Config]> = candidates.chunks(share.max(LANES)).collect();
+                    let scores = parallel_map(Threads::AUTO, &shares, |_, chunk| {
+                        let rows: Vec<Vec<f64>> = chunk.iter().map(|c| space.features(c)).collect();
+                        let incumbents: Vec<f64> = rows
+                            .iter()
+                            .map(|f| {
+                                let m = if prior_ref.is_fitted() {
+                                    prior_ref.predict_features(f)
+                                } else {
+                                    0.0
+                                };
+                                (best_y - m) / SCALE
+                            })
+                            .collect();
+                        gp.expected_improvement_batch(&rows, &incumbents)
                     });
-                    candidates.into_iter().zip(scores).collect()
+                    candidates.into_iter().zip(scores.concat()).collect()
                 }
                 // Degenerate GP: fall back to a random ordering (sequential,
                 // it consumes the tuner RNG).
-                Err(_) => candidates.into_iter().map(|c| (c, rng.gen::<f64>())).collect(),
+                None => candidates.into_iter().map(|c| (c, rng.gen::<f64>())).collect(),
             };
             ctx.add_explorer_steps(scored.len());
             scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -246,6 +264,26 @@ mod tests {
     fn respects_budget() {
         let outcome = run_tuner(DgpTuner::new(), 2, 40, 11);
         assert!(outcome.measurements <= 40);
+    }
+
+    #[test]
+    fn no_seed_trials_runs_to_budget_on_a_random_first_round() {
+        let tuner = DgpTuner::with_config(DgpConfig {
+            n_init: 0,
+            ..DgpConfig::default()
+        });
+        let outcome = run_tuner(tuner, 2, 40, 13);
+        assert_eq!(outcome.measurements, 40);
+    }
+
+    #[test]
+    fn zero_gp_cap_runs_to_budget_on_random_rounds() {
+        let tuner = DgpTuner::with_config(DgpConfig {
+            gp_cap: 0,
+            ..DgpConfig::default()
+        });
+        let outcome = run_tuner(tuner, 2, 40, 14);
+        assert_eq!(outcome.measurements, 40);
     }
 
     #[test]

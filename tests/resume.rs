@@ -450,6 +450,7 @@ mod digests {
         ("autotvm-tl", 0xE6339FF7, 0x63EAD9E5),
         ("chameleon", 0x635B1906, 0xC8EA2F34),
         ("dgp", 0xC9870790, 0xF1DEED0B),
+        ("dgp-transfer", 0x6D7E1F89, 0x692DDC35),
         ("genetic", 0xCCA6398B, 0x08FA709D),
         ("grid", 0xFF28EB69, 0x0CA90AD9),
         ("random", 0x7B2BCC38, 0x71C2559B),
@@ -485,7 +486,7 @@ mod digests {
         (crc32(&wal), crc32(&complete))
     }
 
-    /// A foreign AutoTVM log (other seed, no journal) for the transfer case.
+    /// A foreign AutoTVM log (other seed, no journal) for the transfer cases.
     fn donor() -> glimpse_repro::tuners::TuningHistory {
         let model = models::alexnet();
         let task = &model.tasks()[2];
@@ -503,6 +504,7 @@ mod digests {
             ("autotvm-tl", Box::new(AutoTvmTuner::new().with_transfer(vec![donor()]))),
             ("chameleon", Box::new(ChameleonTuner::new())),
             ("dgp", Box::new(DgpTuner::new())),
+            ("dgp-transfer", Box::new(DgpTuner::new().with_transfer(vec![donor()]))),
             ("genetic", Box::new(GeneticTuner::new())),
             ("grid", Box::new(GridTuner::new())),
             ("random", Box::new(RandomTuner::new())),
