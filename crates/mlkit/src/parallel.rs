@@ -31,6 +31,7 @@
 
 use glimpse_supervise::CancelToken;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide worker-count override (0 = unset).
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -98,9 +99,15 @@ impl Threads {
 /// The machine's available parallelism (≥ 1): the cap applied to every
 /// auto-resolved worker-count request, and what the bench harness records
 /// as the *effective* count next to the *requested* one.
+///
+/// Read once per process. [`std::thread::available_parallelism`] re-reads
+/// the affinity mask and the cgroup CPU quota files on every call (about
+/// 26 µs, mostly system time, on a 2-vCPU Linux VM), and every
+/// auto-resolved fan-out asks: a DGP campaign did so about 2,000 times.
 #[must_use]
 pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 impl Default for Threads {
